@@ -5,9 +5,9 @@ Library layout:
 * :mod:`sentinet.corpus_io`       CSV corpora, histograms, stratified splits
 * :mod:`sentinet.preprocess`      cleaning pipeline, vocabulary, encoding
 * :mod:`sentinet.stemming`        Porter suffix-stripping stemmer
-* :mod:`sentinet.tensor_core`     float64 kernel and seeded RNG streams
-* :mod:`sentinet.layers`          forward/backward passes for every layer
-* :mod:`sentinet.model_training`  variants, training loop, model files
+* :mod:`sentinet.tensor_core`     logistic function and seeded RNG streams
+* :mod:`sentinet.layers`          stateless batched forward/backward layers
+* :mod:`sentinet.model_training`  variant stage table, training loop, model files
 * :mod:`sentinet.metrics`         confusion matrix and the five measures
 * :mod:`sentinet.cli`             the ``sentinet`` batch command
 """

@@ -27,7 +27,9 @@ from pathlib import Path
 
 from . import corpus_io, metrics
 from .corpus_io import CorpusError, SplitSpec
+from .layers import IdOutOfRange
 from .model_training import (
+    VARIANTS,
     CorruptFile,
     FormatVersionMismatch,
     InvalidConfig,
@@ -45,7 +47,6 @@ from .model_training import (
 from .preprocess import (
     EncodedCorpus,
     PipelineConfig,
-    StopWordList,
     Vocabulary,
     build_vocabulary,
     default_stop_words,
@@ -107,6 +108,46 @@ def _resolve(args, config: dict[str, str], key: str, default, kind=str):
     return default
 
 
+# flag / config key -> the dataclass field it sets, where the names differ
+_FIELD_OF = {
+    "lr": "learning_rate",
+    "eps": "epsilon",
+    "train_frac": "train_fraction",
+    "val_frac": "val_fraction",
+    "split_seed": "seed",
+}
+
+
+def _settings(args, config: dict[str, str], cls, keys) -> dict:
+    """{field: value} for each of ``keys`` that a flag or the config file
+    sets, parsed as the type of the field's default in dataclass ``cls``;
+    a field left out keeps that default."""
+    settings = {}
+    for key in keys:
+        name = _FIELD_OF.get(key, key)
+        value = _resolve(args, config, key, None, type(getattr(cls, name)))
+        if value is not None:
+            settings[name] = value
+    return settings
+
+
+def _split_spec(args, config: dict[str, str]) -> SplitSpec:
+    keys = ("train_frac", "val_frac", "split_seed")
+    return SplitSpec(**_settings(args, config, SplitSpec, keys))
+
+
+def _add_split_flags(parser) -> None:
+    parser.add_argument(
+        "--train-frac", type=float, help=f"train fraction (default {SplitSpec.train_fraction})"
+    )
+    parser.add_argument(
+        "--val-frac", type=float, help=f"validation fraction (default {SplitSpec.val_fraction})"
+    )
+    parser.add_argument(
+        "--split-seed", type=int, help=f"stratified split seed (default {SplitSpec.seed})"
+    )
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="sentinet", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -118,7 +159,9 @@ def build_parser() -> _Parser:
     ingest.add_argument("--text-column", help="text column name (default text)")
     ingest.add_argument("--label-column", help="label column name (default label)")
     ingest.add_argument("--stopwords", help="stop-word file (default: packaged list)")
-    ingest.add_argument("--seq-len", type=int, help="padded sequence length (default 40)")
+    ingest.add_argument(
+        "--seq-len", type=int, help=f"padded sequence length (default {ModelConfig.seq_len})"
+    )
     ingest.add_argument("--min-freq", type=int, help="vocabulary frequency cutoff (default 1)")
     ingest.add_argument(
         "--drop-hashtag-words",
@@ -137,26 +180,27 @@ def build_parser() -> _Parser:
     tr.add_argument("--data", required=True, help="directory written by ingest")
     tr.add_argument("--out-dir", required=True, help="directory for model.bin and history.csv")
     tr.add_argument("--config", help="INI config file")
-    tr.add_argument("--variant", choices=("cnn-lstm", "cnn", "lstm"))
-    tr.add_argument("--embed-dim", type=int, help="word-vector dimension (default 64)")
-    tr.add_argument("--window", type=int, help="convolution window width (default 3)")
-    tr.add_argument("--filters", type=int, help="convolution filter count (default 64)")
-    tr.add_argument("--hidden", type=int, help="LSTM hidden size (default 64)")
+    tr.add_argument("--variant", choices=VARIANTS)
+    m, t = ModelConfig, TrainConfig
+    tr.add_argument("--embed-dim", type=int, help=f"word-vector dimension (default {m.embed_dim})")
+    tr.add_argument("--window", type=int, help=f"convolution window width (default {m.window})")
+    tr.add_argument("--filters", type=int, help=f"convolution filter count (default {m.filters})")
+    tr.add_argument("--hidden", type=int, help=f"LSTM hidden size (default {m.hidden})")
     tr.add_argument("--activation", choices=("tanh", "sigmoid"))
-    tr.add_argument("--epochs", type=int, help="training epochs (default 60; 0 = init only)")
-    tr.add_argument("--batch-size", type=int, help="mini-batch size (default 32)")
-    tr.add_argument("--lr", type=float, help="learning rate (default 1e-3)")
+    tr.add_argument(
+        "--epochs", type=int, help=f"training epochs (default {t.epochs}; 0 = init only)"
+    )
+    tr.add_argument("--batch-size", type=int, help=f"mini-batch size (default {t.batch_size})")
+    tr.add_argument("--lr", type=float, help=f"learning rate (default {t.learning_rate})")
     tr.add_argument("--optimizer", choices=("adam", "sgd"))
-    tr.add_argument("--beta1", type=float, help="Adam beta1 (default 0.9)")
-    tr.add_argument("--beta2", type=float, help="Adam beta2 (default 0.999)")
-    tr.add_argument("--eps", type=float, help="Adam epsilon (default 1e-8)")
-    tr.add_argument("--seed", type=int, help="init + shuffle seed (default 42)")
+    tr.add_argument("--beta1", type=float, help=f"Adam beta1 (default {t.beta1})")
+    tr.add_argument("--beta2", type=float, help=f"Adam beta2 (default {t.beta2})")
+    tr.add_argument("--eps", type=float, help=f"Adam epsilon (default {t.epsilon})")
+    tr.add_argument("--seed", type=int, help=f"init + shuffle seed (default {t.seed})")
     tr.add_argument(
         "--no-shuffle", action="store_true", default=None, help="keep corpus order each epoch"
     )
-    tr.add_argument("--train-frac", type=float, help="train fraction (default 0.8)")
-    tr.add_argument("--val-frac", type=float, help="validation fraction (default 0.1)")
-    tr.add_argument("--split-seed", type=int, help="stratified split seed (default 42)")
+    _add_split_flags(tr)
 
     ev = sub.add_parser("evaluate", help="score a model and export metric CSVs")
     ev.add_argument("--model", required=True, help="model file from train")
@@ -173,9 +217,7 @@ def build_parser() -> _Parser:
         default="all",
         help="score only one partition of the deterministic split",
     )
-    ev.add_argument("--train-frac", type=float, help="train fraction (default 0.8)")
-    ev.add_argument("--val-frac", type=float, help="validation fraction (default 0.1)")
-    ev.add_argument("--split-seed", type=int, help="stratified split seed (default 42)")
+    _add_split_flags(ev)
 
     pr = sub.add_parser("predict", help="classify raw text lines")
     pr.add_argument("--model", required=True, help="model file from train")
@@ -189,18 +231,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _pipeline_from_meta(meta: dict) -> PipelineConfig:
-    return PipelineConfig(
-        stop_words=StopWordList(frozenset(meta["stop_words"])),
-        drop_hashtag_words=meta["drop_hashtag_words"],
-        dedupe=meta["dedupe"],
-    )
-
-
 def cmd_ingest(args, config) -> int:
     text_column = _resolve(args, config, "text_column", "text")
     label_column = _resolve(args, config, "label_column", "label")
-    seq_len = _resolve(args, config, "seq_len", 40, int)
+    seq_len = _resolve(args, config, "seq_len", ModelConfig.seq_len, int)
     min_freq = _resolve(args, config, "min_freq", 1, int)
     drop_tags = bool(_resolve(args, config, "drop_hashtag_words", False, bool))
     dedupe = bool(_resolve(args, config, "dedupe", False, bool))
@@ -219,27 +253,16 @@ def cmd_ingest(args, config) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_corpus_cache(encoded, out / "encoded.csv")
     (out / "vocab.json").write_text(
-        json.dumps(
-            {"tokens": list(vocab.tokens()), "min_frequency": vocab.min_frequency},
-            sort_keys=True,
-        ),
-        encoding="utf-8",
+        json.dumps(vocab.to_json(), sort_keys=True), encoding="utf-8"
     )
-    (out / "meta.json").write_text(
-        json.dumps(
-            {
-                "seq_len": seq_len,
-                "stop_words": sorted(stops.words),
-                "drop_hashtag_words": drop_tags,
-                "dedupe": dedupe,
-                "text_column": text_column,
-                "label_column": label_column,
-                "source_csv": str(args.csv),
-            },
-            sort_keys=True,
-        ),
-        encoding="utf-8",
-    )
+    meta = {
+        "seq_len": seq_len,
+        **pipeline.to_json(),
+        "text_column": text_column,
+        "label_column": label_column,
+        "source_csv": str(args.csv),
+    }
+    (out / "meta.json").write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
     histogram = corpus_io.class_histogram(corpus)
     (out / "histogram.csv").write_text(
         corpus_io.histogram_to_csv(histogram), encoding="utf-8"
@@ -252,43 +275,26 @@ def cmd_ingest(args, config) -> int:
 def cmd_train(args, config) -> int:
     data_dir = Path(args.data)
     encoded = read_corpus_cache(data_dir / "encoded.csv")
-    vocab_blob = json.loads((data_dir / "vocab.json").read_text("utf-8"))
-    vocab = Vocabulary(vocab_blob["tokens"], vocab_blob["min_frequency"])
+    vocab = Vocabulary.from_json(json.loads((data_dir / "vocab.json").read_text("utf-8")))
     meta = json.loads((data_dir / "meta.json").read_text("utf-8"))
 
+    model_keys = ("variant", "embed_dim", "window", "filters", "hidden", "activation")
     model_config = ModelConfig(
-        variant=_resolve(args, config, "variant", "cnn-lstm"),
-        seq_len=meta["seq_len"],
-        embed_dim=_resolve(args, config, "embed_dim", 64, int),
-        window=_resolve(args, config, "window", 3, int),
-        filters=_resolve(args, config, "filters", 64, int),
-        hidden=_resolve(args, config, "hidden", 64, int),
-        activation=_resolve(args, config, "activation", "tanh"),
+        seq_len=meta["seq_len"], **_settings(args, config, ModelConfig, model_keys)
     )
+    train_keys = ("epochs", "batch_size", "lr", "optimizer", "beta1", "beta2", "eps", "seed")
     no_shuffle = bool(_resolve(args, config, "no_shuffle", False, bool))
     train_config = TrainConfig(
-        epochs=_resolve(args, config, "epochs", 60, int),
-        batch_size=_resolve(args, config, "batch_size", 32, int),
-        learning_rate=_resolve(args, config, "lr", 1e-3, float),
-        optimizer=_resolve(args, config, "optimizer", "adam"),
-        beta1=_resolve(args, config, "beta1", 0.9, float),
-        beta2=_resolve(args, config, "beta2", 0.999, float),
-        epsilon=_resolve(args, config, "eps", 1e-8, float),
-        seed=_resolve(args, config, "seed", 42, int),
-        shuffle=not no_shuffle,
-    )
-    split = SplitSpec(
-        train_fraction=_resolve(args, config, "train_frac", 0.8, float),
-        val_fraction=_resolve(args, config, "val_frac", 0.1, float),
-        seed=_resolve(args, config, "split_seed", 42, int),
+        shuffle=not no_shuffle, **_settings(args, config, TrainConfig, train_keys)
     )
 
+    split = _split_spec(args, config)
     train_idx, val_idx, _ = corpus_io.stratified_indices(encoded.labels, split)
     train_part = encoded.subset(train_idx)
     val_part = encoded.subset(val_idx) if val_idx else None
 
     model = build_model(
-        model_config, vocab, Rng(train_config.seed), _pipeline_from_meta(meta)
+        model_config, vocab, Rng(train_config.seed), PipelineConfig.from_json(meta)
     )
     model, history = train(model, train_part, val_part, train_config)
 
@@ -305,8 +311,8 @@ def _encoded_for_evaluate(args, model: Model) -> EncodedCorpus:
     if args.data is not None:
         data_dir = Path(args.data)
         encoded = read_corpus_cache(data_dir / "encoded.csv")
-        vocab_blob = json.loads((data_dir / "vocab.json").read_text("utf-8"))
-        if tuple(vocab_blob["tokens"]) != model.vocab.tokens():
+        vocab = Vocabulary.from_json(json.loads((data_dir / "vocab.json").read_text("utf-8")))
+        if vocab.tokens() != model.vocab.tokens():
             raise CorpusError(
                 "prepared corpus was encoded with a different vocabulary"
             )
@@ -332,11 +338,7 @@ def cmd_evaluate(args, config) -> int:
     model = load_model(args.model)
     encoded = _encoded_for_evaluate(args, model)
     if args.split != "all":
-        split = SplitSpec(
-            train_fraction=_resolve(args, config, "train_frac", 0.8, float),
-            val_fraction=_resolve(args, config, "val_frac", 0.1, float),
-            seed=_resolve(args, config, "split_seed", 42, int),
-        )
+        split = _split_spec(args, config)
         parts = dict(
             zip(("train", "val", "test"), corpus_io.stratified_indices(encoded.labels, split))
         )
@@ -401,6 +403,7 @@ def main(argv=None) -> int:
         CorpusError,
         CorruptFile,
         FormatVersionMismatch,
+        IdOutOfRange,
         OSError,
         ValueError,
         KeyError,

@@ -39,7 +39,7 @@ __all__ = [
 NEGATIVE, NEUTRAL, POSITIVE = 0, 1, 2
 CLASS_NAMES = ("-1", "0", "1")
 
-_EXTERNAL_TO_INTERNAL = {"-1": NEGATIVE, "0": NEUTRAL, "1": POSITIVE}
+_EXTERNAL_TO_INTERNAL = {name: label for label, name in enumerate(CLASS_NAMES)}
 
 
 class CorpusError(Exception):
@@ -136,14 +136,15 @@ class SplitSpec:
 
 
 def load_corpus(path, text_column: str = "text", label_column: str = "label") -> LabeledCorpus:
-    """Load a labeled corpus from a headered, comma-separated UTF-8 file.
+    """Load a labeled corpus from a headered, comma-separated UTF-8 file
+    (a leading byte-order mark is skipped).
 
     Every data row must parse; a bad label or empty text aborts the load
     with the offending row number (1 = first data row).
     """
     path = str(path)
     examples: list[LabeledExample] = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames
         if header is None:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus_io import CLASS_NAMES
+
 __all__ = [
     "LengthMismatch",
     "LabelOutOfRange",
@@ -35,8 +37,6 @@ __all__ = [
     "report_to_csv",
     "confusion_to_csv",
 ]
-
-_EXTERNAL = ("-1", "0", "1")
 
 
 class LengthMismatch(ValueError):
@@ -168,7 +168,7 @@ def macro_report(cm: ConfusionMatrix3) -> MacroReport:
 def report_to_csv(report: MacroReport) -> str:
     """Report export: one row per class (-1, 0, 1), a macro row, then accuracy."""
     lines = ["class,precision,recall,f1,auc"]
-    for name, scores in zip(_EXTERNAL, report.per_class):
+    for name, scores in zip(CLASS_NAMES, report.per_class):
         lines.append(
             f"{name},{scores.precision!r},{scores.recall!r},"
             f"{scores.f1!r},{scores.auc!r}"
@@ -181,8 +181,8 @@ def report_to_csv(report: MacroReport) -> str:
 
 def confusion_to_csv(cm: ConfusionMatrix3) -> str:
     """3x3 export with labeled axes; rows are predicted classes."""
-    lines = ["predicted\\actual," + ",".join(_EXTERNAL)]
+    lines = ["predicted\\actual," + ",".join(CLASS_NAMES)]
     for p in range(3):
         row = ",".join(str(int(cm.counts[p, a])) for a in range(3))
-        lines.append(f"{_EXTERNAL[p]},{row}")
+        lines.append(f"{CLASS_NAMES[p]},{row}")
     return "\n".join(lines) + "\n"

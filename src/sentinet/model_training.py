@@ -1,16 +1,35 @@
 """Model assembly, the training loop, optimizers, and model files.
 
-Three architecture variants share the embedding and dense softmax head:
+A model is a stack of stages from :mod:`sentinet.layers`, and ``STAGES``
+lists each variant's stages in order:
 
 * ``cnn-lstm`` — embedding -> convolution -> (no pooling) -> LSTM -> head;
 * ``cnn``      — embedding -> convolution -> mean over positions -> head;
 * ``lstm``     — embedding fed straight into the LSTM -> head.
 
-Training is plain mini-batch gradient descent (SGD or Adam) over the mean
-cross-entropy of each batch, with a seeded shuffle per epoch and one
-history record per epoch computed over the full train and validation
-sets.  Everything is deterministic: data, configs and seeds fix every
+The forward and backward passes, parameter naming, initialization and
+the model file all walk that table.  A stage's name prefixes its
+parameters: ``embedding.table``, ``conv.filters``, ``lstm.weights`` (the
+four gates fused), ``head.bias`` and so on.
+
+Every pass runs on a batch: ids are (B, seq_len) and probabilities are
+(B, 3).  Training is plain mini-batch gradient descent (SGD or Adam) over
+the mean cross-entropy of each batch, one ``forward_backward`` call per
+batch, with a seeded shuffle per epoch and one history record per epoch
+computed over the full train and validation sets.  ``evaluate`` runs in
+slices of ``EVAL_BATCH`` examples, so its memory does not grow with the
+corpus.  Everything is deterministic: data, configs and seeds fix every
 parameter, every history record, and every prediction bitwise.
+
+Model file, format 2:
+
+    MAGIC "SNET" | u32 version | u64 header length | header JSON |
+    parameter payload | sha256 of everything before it
+
+The header holds the config, vocabulary, pipeline settings, history and
+each parameter's name and shape, in stage order; the payload holds the
+parameters in that order as little-endian float64.  A header must be
+exactly the one ``save_model`` writes for the model it describes.
 """
 
 from __future__ import annotations
@@ -19,29 +38,31 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
 from . import tensor_core as tc
+from .corpus_io import CLASS_NAMES
 from .layers import (
     ConvLayer,
     DenseSoftmax,
     EmbeddingLayer,
     LstmLayer,
+    MeanPool,
     cross_entropy,
     cross_entropy_grad,
 )
 from .preprocess import (
+    PAD_ID,
     EncodedCorpus,
     PipelineConfig,
-    StopWordList,
-    TokenSequence,
     Vocabulary,
     encode_and_pad,
 )
 
 __all__ = [
+    "STAGES",
     "VARIANTS",
     "InvalidConfig",
     "NonFiniteLoss",
@@ -64,10 +85,54 @@ __all__ = [
     "load_model",
 ]
 
-VARIANTS = ("cnn-lstm", "cnn", "lstm")
-
 MAGIC = b"SNET"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# examples per forward pass in evaluate, so that its working memory stays
+# the same whatever the corpus size
+EVAL_BATCH = 64
+
+
+# A stage maker builds one stage's layer from the config and its input
+# width, and returns the layer and its output width.  ``param(name,
+# shape)`` supplies each parameter array: drawn fresh by build_model, read
+# from the file by load_model.  Parameters are requested in the layer's
+# PARAMS order, which is also their order in the model file.
+
+
+def _embedding(c, width, param):
+    return EmbeddingLayer(param("table", (width, c.embed_dim))), c.embed_dim
+
+
+def _conv(c, width, param):
+    filters = param("filters", (c.filters, c.window, width))
+    return ConvLayer(filters, param("bias", (c.filters,)), c.activation), c.filters
+
+
+def _pool(c, width, param):
+    return MeanPool(), width
+
+
+def _lstm(c, width, param):
+    fused = len(LstmLayer.GATES) * c.hidden
+    weights = param("weights", (fused, width + c.hidden))
+    return LstmLayer(weights, param("bias", (fused,))), c.hidden
+
+
+def _head(c, width, param):
+    classes = len(CLASS_NAMES)
+    return DenseSoftmax(param("weights", (classes, width)), param("bias", (classes,))), classes
+
+
+_MAKERS = {"embedding": _embedding, "conv": _conv, "pool": _pool, "lstm": _lstm, "head": _head}
+
+# each variant as its stages, in order; the first stage's input width is
+# the vocabulary size
+STAGES = {
+    "cnn-lstm": ("embedding", "conv", "lstm", "head"),
+    "cnn": ("embedding", "conv", "pool", "head"),
+    "lstm": ("embedding", "lstm", "head"),
+}
+VARIANTS = tuple(STAGES)
 
 
 class InvalidConfig(ValueError):
@@ -107,8 +172,9 @@ class ModelConfig:
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"variant must be one of {VARIANTS}: {self.variant!r}")
         for name in ("seq_len", "embed_dim", "window", "filters", "hidden"):
-            if getattr(self, name) < 1:
-                raise InvalidConfig(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
         if self.window > self.seq_len:
             raise InvalidConfig(
                 f"window {self.window} exceeds sequence length {self.seq_len}"
@@ -173,100 +239,81 @@ class EpochHistory:
 
 
 class Model:
-    """A variant's layer stack plus the vocabulary it was encoded with."""
+    """A variant's stages plus the vocabulary and pipeline it was built with.
+
+    ``stages`` maps each stage name to its layer, in ``STAGES`` order.  A
+    model keeps no per-call state, so callers may share one.
+    """
 
     def __init__(
         self,
         config: ModelConfig,
         vocab: Vocabulary,
-        embedding: EmbeddingLayer,
-        conv: ConvLayer | None,
-        lstm: LstmLayer | None,
-        head: DenseSoftmax,
+        stages: dict,
         pipeline: PipelineConfig | None = None,
     ):
         self.config = config
         self.vocab = vocab
-        self.embedding = embedding
-        self.conv = conv
-        self.lstm = lstm
-        self.head = head
+        self.stages = stages
         self.pipeline = pipeline
         self.history = EpochHistory()
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Live parameter arrays keyed by stable names (serialization order)."""
-        params: dict[str, np.ndarray] = {"embedding.table": self.embedding.table}
-        if self.conv is not None:
-            params["conv.filters"] = self.conv.filters
-            params["conv.bias"] = self.conv.bias
-        if self.lstm is not None:
-            for gate in LstmLayer.GATES:
-                params[f"lstm.w_{gate}"] = self.lstm.weights[gate]
-            for gate in LstmLayer.GATES:
-                params[f"lstm.b_{gate}"] = self.lstm.biases[gate]
-        params["head.weights"] = self.head.weights
-        params["head.bias"] = self.head.bias
-        return params
+        return {
+            f"{name}.{p}": getattr(layer, p)
+            for name, layer in self.stages.items()
+            for p in layer.PARAMS
+        }
 
     def parameter_count(self) -> int:
         return sum(arr.size for arr in self.parameters().values())
 
-    def _ids(self, seq) -> np.ndarray:
-        ids = seq.ids if isinstance(seq, TokenSequence) else np.asarray(seq)
-        if len(ids) != self.config.seq_len:
+    def _forward(self, ids):
+        """Probabilities and each stage's cache for a (B, seq_len) batch."""
+        x = np.asarray(ids)
+        if x.ndim != 2 or x.shape[1] != self.config.seq_len:
             raise InvalidConfig(
-                f"sequence length {len(ids)} != configured {self.config.seq_len}"
+                f"ids must be (batch, {self.config.seq_len}), got shape {x.shape}"
             )
-        return ids
+        caches = []
+        for layer in self.stages.values():
+            x, cache = layer.forward(x)
+            caches.append(cache)
+        return x, caches
 
-    def forward(self, seq) -> np.ndarray:
-        """Class probabilities for one encoded sequence."""
-        ids = self._ids(seq)
-        sentence = self.embedding.forward(ids)
-        if self.config.variant == "cnn-lstm":
-            feats = self.conv.forward(sentence)
-            hidden = self.lstm.forward(feats)
-        elif self.config.variant == "cnn":
-            feats = self.conv.forward(sentence)
-            hidden = feats.mean(axis=0)
-            self._pool_steps = feats.shape[0]
-        else:
-            hidden = self.lstm.forward(sentence)
-        return self.head.forward(hidden)
+    def forward(self, ids) -> np.ndarray:
+        """Class probabilities, (B, 3), for a (B, seq_len) batch of ids."""
+        return self._forward(ids)[0]
 
-    def forward_backward(self, seq, label: int):
-        """Loss and gradients (same keys as parameters()) for one example."""
-        probs = self.forward(seq)
-        loss = cross_entropy(probs, label)
-        head_grads, d_hidden = self.head.backward(cross_entropy_grad(probs, label))
-        grads = {"head.weights": head_grads["weights"], "head.bias": head_grads["bias"]}
-        if self.config.variant == "cnn-lstm":
-            lstm_grads, d_feats = self.lstm.backward(d_hidden)
-            conv_grads, d_sentence = self.conv.backward(d_feats)
-        elif self.config.variant == "cnn":
-            steps = self._pool_steps
-            d_feats = np.repeat(d_hidden[None, :] / steps, steps, axis=0)
-            conv_grads, d_sentence = self.conv.backward(d_feats)
-            lstm_grads = None
-        else:
-            lstm_grads, d_sentence = self.lstm.backward(d_hidden)
-            conv_grads = None
-        if conv_grads is not None:
-            grads["conv.filters"] = conv_grads["filters"]
-            grads["conv.bias"] = conv_grads["bias"]
-        if lstm_grads is not None:
-            for gate in LstmLayer.GATES:
-                grads[f"lstm.w_{gate}"] = lstm_grads[f"w_{gate}"]
-                grads[f"lstm.b_{gate}"] = lstm_grads[f"b_{gate}"]
-        emb_grads, _ = self.embedding.backward(d_sentence)
-        grads["embedding.table"] = emb_grads["table"]
+    def forward_backward(self, ids, labels):
+        """Mean cross-entropy of a batch and its gradients (same keys as
+        parameters())."""
+        probs, caches = self._forward(ids)
+        loss = float(cross_entropy(probs, labels).mean())
+        d = cross_entropy_grad(probs, labels) / len(probs)
+        grads = {}
+        for (name, layer), cache in zip(reversed(self.stages.items()), reversed(caches)):
+            layer_grads, d = layer.backward(cache, d)
+            grads.update({f"{name}.{p}": g for p, g in layer_grads.items()})
         return loss, grads
 
 
-def _xavier(rng: tc.Rng, rows: int, cols: int, fan_in: int, fan_out: int) -> np.ndarray:
-    scale = math.sqrt(6.0 / (fan_in + fan_out))
-    return tc.init_uniform(rng, rows, cols, scale)
+def _make_stages(config: ModelConfig, vocab_size: int, param) -> dict:
+    """The variant's layers by stage name; ``param(name, shape)`` supplies
+    each parameter by its full name, such as ``lstm.weights``."""
+    stages, width = {}, vocab_size
+    for name in STAGES[config.variant]:
+        stages[name], width = _MAKERS[name](
+            config, width, lambda p, shape, name=name: param(f"{name}.{p}", shape)
+        )
+    return stages
+
+
+def _xavier(rng: tc.Rng, shape) -> np.ndarray:
+    """Uniform in +-sqrt(6 / (rows + cols)), the first axis being the rows."""
+    rows, cols = shape[0], math.prod(shape[1:])
+    return tc.init_uniform(rng, rows, cols, math.sqrt(6.0 / (rows + cols))).reshape(shape)
 
 
 def build_model(
@@ -278,43 +325,24 @@ def build_model(
     """Initialize a model: Xavier-uniform weights, zero biases except the
     forget gate (+1), zero pad embedding.  Each tensor draws from its own
     named stream, so the variant choice never shifts another tensor's
-    initialization."""
-    vocab_size = len(vocab)
-    k, m, d_h = config.embed_dim, config.filters, config.hidden
+    initialization; the fused LSTM weights stack one block per gate, each
+    drawn from its own stream ``lstm.w_<gate>``."""
+    gates = LstmLayer.GATES
 
-    table = _xavier(rng.split("embedding.table"), vocab_size, k, vocab_size, k)
-    table[0] = 0.0
-    embedding = EmbeddingLayer(table)
+    def init(name, shape):
+        if name == "lstm.weights":
+            block = (shape[0] // len(gates), shape[1])
+            return np.concatenate([_xavier(rng.split(f"lstm.w_{g}"), block) for g in gates])
+        if len(shape) > 1:
+            return _xavier(rng.split(name), shape)
+        bias = np.zeros(shape)
+        if name == "lstm.bias":
+            bias.reshape(len(gates), -1)[gates.index("forget")] = 1.0
+        return bias
 
-    conv = None
-    if config.variant in ("cnn-lstm", "cnn"):
-        flat = _xavier(
-            rng.split("conv.filters"), m, config.window * k, config.window * k, m
-        )
-        conv = ConvLayer(
-            filters=flat.reshape(m, config.window, k),
-            bias=np.zeros(m),
-            activation=config.activation,
-        )
-
-    lstm = None
-    if config.variant in ("cnn-lstm", "lstm"):
-        step_dim = m if config.variant == "cnn-lstm" else k
-        weights = {}
-        biases = {}
-        for gate in LstmLayer.GATES:
-            weights[gate] = _xavier(
-                rng.split(f"lstm.w_{gate}"), d_h, step_dim + d_h, step_dim + d_h, d_h
-            )
-            biases[gate] = np.ones(d_h) if gate == "forget" else np.zeros(d_h)
-        lstm = LstmLayer(weights, biases)
-
-    head_in = m if config.variant == "cnn" else d_h
-    head = DenseSoftmax(
-        weights=_xavier(rng.split("head.weights"), 3, head_in, head_in, 3),
-        bias=np.zeros(3),
-    )
-    return Model(config, vocab, embedding, conv, lstm, head, pipeline)
+    model = Model(config, vocab, _make_stages(config, len(vocab), init), pipeline)
+    model.stages["embedding"].table[PAD_ID] = 0.0
+    return model
 
 
 def sgd_step(params: dict, grads: dict, learning_rate: float) -> None:
@@ -372,17 +400,18 @@ def evaluate(model: Model, corpus: EncodedCorpus) -> EvalResult:
     """Mean cross-entropy, accuracy, and argmax predictions over a corpus."""
     if len(corpus) == 0:
         raise ValueError("cannot evaluate an empty corpus")
-    total_loss = 0.0
-    correct = 0
-    predictions: list[int] = []
-    for ids, label in zip(corpus.sequences, corpus.labels):
-        probs = model.forward(ids)
-        total_loss += cross_entropy(probs, int(label))
-        pred = int(np.argmax(probs))
-        predictions.append(pred)
-        correct += pred == int(label)
+    losses, predictions = [], []
+    for start in range(0, len(corpus), EVAL_BATCH):
+        probs = model.forward(corpus.sequences[start : start + EVAL_BATCH])
+        losses.append(cross_entropy(probs, corpus.labels[start : start + EVAL_BATCH]))
+        predictions.append(np.argmax(probs, axis=1))
+    predicted = np.concatenate(predictions)
     n = len(corpus)
-    return EvalResult(loss=total_loss / n, accuracy=correct / n, predictions=predictions)
+    return EvalResult(
+        loss=float(np.concatenate(losses).mean()),
+        accuracy=int(np.count_nonzero(predicted == corpus.labels)) / n,
+        predictions=predicted.tolist(),
+    )
 
 
 def train(
@@ -412,28 +441,15 @@ def train(
             order = np.arange(len(train_corpus))
         for batch_index, start in enumerate(range(0, len(order), cfg.batch_size)):
             batch = order[start : start + cfg.batch_size]
-            batch_grads: dict[str, np.ndarray] | None = None
-            batch_loss = 0.0
-            for i in batch:
-                loss, grads = model.forward_backward(
-                    train_corpus.sequences[i], int(train_corpus.labels[i])
-                )
-                batch_loss += loss
-                if batch_grads is None:
-                    batch_grads = grads
-                else:
-                    for name in batch_grads:
-                        batch_grads[name] += grads[name]
-            size = len(batch)
-            batch_loss /= size
-            if not math.isfinite(batch_loss):
+            loss, grads = model.forward_backward(
+                train_corpus.sequences[batch], train_corpus.labels[batch]
+            )
+            if not math.isfinite(loss):
                 raise NonFiniteLoss(epoch, batch_index)
-            for name in batch_grads:
-                batch_grads[name] /= size
             if adam_state is not None:
-                adam_step(params, batch_grads, adam_state, cfg)
+                adam_step(params, grads, adam_state, cfg)
             else:
-                sgd_step(params, batch_grads, cfg.learning_rate)
+                sgd_step(params, grads, cfg.learning_rate)
         train_eval = evaluate(model, train_corpus)
         if have_val:
             val_eval = evaluate(model, val_corpus)
@@ -459,51 +475,33 @@ def predict_text(model: Model, raw: str) -> tuple[int, np.ndarray]:
         raise ValueError("model carries no preprocessing pipeline settings")
     tokens = model.pipeline.tokens(raw)
     seq = encode_and_pad(tokens, model.vocab, model.config.seq_len)
-    probs = model.forward(seq)
+    probs = model.forward(seq.ids[None])[0]
     return int(np.argmax(probs)), probs
 
 
-# --- model file -----------------------------------------------------------
-#
-# layout: MAGIC | u32 version | u64 header length | header JSON |
-#         parameter payload (float64 little-endian, header order) |
-#         sha256 of everything before it
+# --- model file (layout in the module docstring) ---------------------------
+
+
+def _header(model: Model) -> dict:
+    return {
+        "config": asdict(model.config),
+        "vocab": model.vocab.to_json(),
+        "pipeline": None if model.pipeline is None else model.pipeline.to_json(),
+        "history": [list(astuple(r)) for r in model.history.records],
+        "params": [
+            {"name": name, "shape": list(arr.shape)}
+            for name, arr in model.parameters().items()
+        ],
+    }
 
 
 def save_model(model: Model, path) -> None:
-    params = model.parameters()
-    header = {
-        "config": asdict(model.config),
-        "vocab": {
-            "tokens": list(model.vocab.tokens()),
-            "min_frequency": model.vocab.min_frequency,
-        },
-        "pipeline": None
-        if model.pipeline is None
-        else {
-            "stop_words": sorted(model.pipeline.stop_words.words),
-            "drop_hashtag_words": model.pipeline.drop_hashtag_words,
-            "dedupe": model.pipeline.dedupe,
-        },
-        "history": [
-            [r.epoch, r.train_loss, r.train_accuracy, r.val_loss, r.val_accuracy]
-            for r in model.history.records
-        ],
-        "params": [
-            {"name": name, "shape": list(arr.shape)} for name, arr in params.items()
-        ],
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    header_bytes = json.dumps(_header(model), sort_keys=True).encode("utf-8")
     payload = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes() for arr in params.values()
+        np.ascontiguousarray(arr, dtype="<f8").tobytes()
+        for arr in model.parameters().values()
     )
-    blob = (
-        MAGIC
-        + struct.pack("<I", FORMAT_VERSION)
-        + struct.pack("<Q", len(header_bytes))
-        + header_bytes
-        + payload
-    )
+    blob = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header_bytes)) + header_bytes + payload
     blob += hashlib.sha256(blob).digest()
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -519,59 +517,34 @@ def load_model(path) -> Model:
         raise FormatVersionMismatch(
             f"model format {version}, this build reads {FORMAT_VERSION}"
         )
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
+    body = memoryview(blob)[:-32]
+    if hashlib.sha256(body).digest() != blob[-32:]:
         raise CorruptFile(f"checksum mismatch: {path}")
     (header_len,) = struct.unpack_from("<Q", blob, 8)
-    header_start = 16
-    payload_start = header_start + header_len
+    offset = 16 + header_len
     try:
-        header = json.loads(body[header_start:payload_start].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise CorruptFile(f"unreadable header: {path}") from exc
+        header = json.loads(bytes(body[16:offset]).decode("utf-8"))
+        config = ModelConfig(**header["config"])
+        vocab = Vocabulary.from_json(header["vocab"])
+        pipeline = header["pipeline"]
+        pipeline = None if pipeline is None else PipelineConfig.from_json(pipeline)
+        history = EpochHistory([EpochRecord(*row) for row in header["history"]])
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CorruptFile(f"malformed header: {path}") from exc
 
-    config = ModelConfig(**header["config"])
-    vocab = Vocabulary(header["vocab"]["tokens"], header["vocab"]["min_frequency"])
-    pipeline = None
-    if header["pipeline"] is not None:
-        pipeline = PipelineConfig(
-            stop_words=StopWordList(frozenset(header["pipeline"]["stop_words"])),
-            drop_hashtag_words=header["pipeline"]["drop_hashtag_words"],
-            dedupe=header["pipeline"]["dedupe"],
-        )
-
-    arrays: dict[str, np.ndarray] = {}
-    offset = payload_start
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + 8 * count
-        if end > len(body):
+    def read(name, shape):
+        nonlocal offset
+        count = math.prod(shape)
+        if offset + 8 * count > len(body):
             raise CorruptFile(f"parameter payload truncated: {path}")
-        arrays[entry["name"]] = (
-            np.frombuffer(body[offset:end], dtype="<f8").reshape(shape).copy()
-        )
-        offset = end
+        arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
+        offset += 8 * count
+        return arr.reshape(shape).copy()
+
+    model = Model(config, vocab, _make_stages(config, len(vocab), read), pipeline)
     if offset != len(body):
         raise CorruptFile(f"trailing bytes after parameters: {path}")
-
-    embedding = EmbeddingLayer(arrays["embedding.table"])
-    conv = None
-    if "conv.filters" in arrays:
-        conv = ConvLayer(
-            filters=arrays["conv.filters"],
-            bias=arrays["conv.bias"],
-            activation=config.activation,
-        )
-    lstm = None
-    if "lstm.w_input" in arrays:
-        lstm = LstmLayer(
-            weights={g: arrays[f"lstm.w_{g}"] for g in LstmLayer.GATES},
-            biases={g: arrays[f"lstm.b_{g}"] for g in LstmLayer.GATES},
-        )
-    head = DenseSoftmax(weights=arrays["head.weights"], bias=arrays["head.bias"])
-    model = Model(config, vocab, embedding, conv, lstm, head, pipeline)
-    model.history = EpochHistory(
-        [EpochRecord(int(e), tl, ta, vl, va) for e, tl, ta, vl, va in header["history"]]
-    )
+    model.history = history
+    if _header(model) != header:
+        raise CorruptFile(f"header does not match the model it describes: {path}")
     return model

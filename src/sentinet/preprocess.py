@@ -21,6 +21,7 @@ from importlib import resources
 
 import numpy as np
 
+from .corpus_io import external_label, internal_label
 from .stemming import stem
 
 __all__ = [
@@ -169,6 +170,23 @@ class PipelineConfig:
     def tokens(self, raw: str) -> list[str]:
         return preprocess_pipeline(raw, self.stop_words, self.drop_hashtag_words)
 
+    def to_json(self) -> dict:
+        """The settings as a JSON object (model header and ``meta.json``)."""
+        return {
+            "stop_words": sorted(self.stop_words.words),
+            "drop_hashtag_words": self.drop_hashtag_words,
+            "dedupe": self.dedupe,
+        }
+
+    @classmethod
+    def from_json(cls, blob: dict) -> "PipelineConfig":
+        """Inverse of :meth:`to_json`; other keys in ``blob`` are ignored."""
+        return cls(
+            StopWordList(frozenset(blob["stop_words"])),
+            blob["drop_hashtag_words"],
+            blob["dedupe"],
+        )
+
 
 class Vocabulary:
     """Token <-> id bijection with reserved pad (0) and unknown (1) ids.
@@ -203,6 +221,15 @@ class Vocabulary:
     def tokens(self) -> tuple[str, ...]:
         """Corpus tokens in id order (excluding the reserved entries)."""
         return self._id_to_token[2:]
+
+    def to_json(self) -> dict:
+        """The vocabulary as a JSON object (model header and ``vocab.json``)."""
+        return {"tokens": list(self.tokens()), "min_frequency": self.min_frequency}
+
+    @classmethod
+    def from_json(cls, blob: dict) -> "Vocabulary":
+        """Inverse of :meth:`to_json`."""
+        return cls(blob["tokens"], blob["min_frequency"])
 
 
 def build_vocabulary(token_lists, min_frequency: int = 1) -> Vocabulary:
@@ -275,9 +302,6 @@ def encode_corpus(token_lists, labels, vocab: Vocabulary, n: int) -> EncodedCorp
 
 # cache file: CSV with header ids,label; ids space-separated, labels -1/0/1
 
-_LABEL_TO_EXTERNAL = {0: "-1", 1: "0", 2: "1"}
-_EXTERNAL_TO_LABEL = {"-1": 0, "0": 1, "1": 2}
-
 
 def write_corpus_cache(corpus: EncodedCorpus, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -285,7 +309,7 @@ def write_corpus_cache(corpus: EncodedCorpus, path) -> None:
         writer.writerow(["ids", "label"])
         for row, label in zip(corpus.sequences, corpus.labels):
             writer.writerow(
-                [" ".join(str(v) for v in row), _LABEL_TO_EXTERNAL[int(label)]]
+                [" ".join(str(v) for v in row), external_label(int(label))]
             )
 
 
@@ -299,7 +323,7 @@ def read_corpus_cache(path) -> EncodedCorpus:
             raise ValueError(f"not a corpus cache file: {path}")
         for row in reader:
             seqs.append([int(v) for v in row[0].split()])
-            labels.append(_EXTERNAL_TO_LABEL[row[1]])
+            labels.append(internal_label(row[1]))
     if not seqs:
         raise ValueError(f"corpus cache is empty: {path}")
     lengths = {len(s) for s in seqs}

@@ -1,10 +1,8 @@
-"""Dense float64 numeric kernel shared by every layer.
+"""Numeric helpers shared by the layers: the logistic function and seeded
+initialization.
 
-Matrices are plain 2-D C-contiguous ``numpy.float64`` arrays; this module
-wraps the handful of operations the layers need (products, elementwise
-nonlinearities, seeded initialization) behind shape-checked functions so
-that shape bugs surface as :class:`ShapeMismatch` instead of silent
-broadcasting.
+Arrays are plain ``numpy.float64``; shape errors in parameter updates
+surface as :class:`ShapeMismatch` instead of silent broadcasting.
 """
 
 from __future__ import annotations
@@ -16,11 +14,6 @@ import numpy as np
 __all__ = [
     "ShapeMismatch",
     "Rng",
-    "matrix",
-    "matmul",
-    "add",
-    "hadamard",
-    "tanh",
     "sigmoid",
     "init_uniform",
 ]
@@ -30,54 +23,13 @@ class ShapeMismatch(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-def matrix(rows: int, cols: int, fill: float = 0.0) -> np.ndarray:
-    """Allocate a rows x cols float64 matrix filled with a constant."""
-    if rows < 1 or cols < 1:
-        raise ShapeMismatch(f"matrix dims must be positive, got {rows}x{cols}")
-    return np.full((rows, cols), float(fill), dtype=np.float64)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Standard matrix product; requires a.cols == b.rows."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeMismatch(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"inner dims differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise sum of two equally shaped arrays."""
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"add needs equal shapes, got {a.shape} and {b.shape}")
-    return a + b
-
-
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise (Hadamard) product of two equally shaped arrays."""
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"hadamard needs equal shapes, got {a.shape} and {b.shape}")
-    return a * b
-
-
-def tanh(x: np.ndarray) -> np.ndarray:
-    """Entrywise hyperbolic tangent, output in (-1, 1)."""
-    return np.tanh(x)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Entrywise logistic function, output in (0, 1).
+    """Entrywise logistic function, output in [0, 1].
 
-    Computed in the branch form that only ever exponentiates non-positive
-    values, so arguments beyond +-700 cannot overflow to inf/NaN.
+    Computed as 0.5 * (1 + tanh(x / 2)), which never exponentiates, so
+    arguments beyond +-700 cannot overflow to inf/NaN.
     """
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
 
 
 class Rng:

@@ -54,20 +54,6 @@ def max_grad_check_error(
     return worst
 
 
-def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    rows, inner = a.shape
-    inner2, cols = b.shape
-    assert inner == inner2
-    out = np.zeros((rows, cols))
-    for i in range(rows):
-        for j in range(cols):
-            s = 0.0
-            for t in range(inner):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-    return out
-
-
 def naive_conv(sentence: np.ndarray, filters: np.ndarray, bias: np.ndarray, activation: str) -> np.ndarray:
     """Brute-force sliding-window convolution, one feature at a time."""
     n, k = sentence.shape

@@ -105,45 +105,45 @@ def test_criterion_1_gradient_correctness():
     table = Rng(1).uniform(-0.7, 0.7, (9, k))
     table[0] = 0.0
     emb = EmbeddingLayer(table)
-    ids = np.array([2, 8, 2, 0, 3, 1, 4])
-    upstream_e = Rng(2).uniform(-1, 1, (n, k))
-    emb.forward(ids)
-    emb_grads, _ = emb.backward(upstream_e)
+    ids = np.array([[2, 8, 2, 0, 3, 1, 4]])
+    upstream_e = Rng(2).uniform(-1, 1, (1, n, k))
+    emb_grads, _ = emb.backward(emb.forward(ids)[1], upstream_e)
     sweep(
-        lambda: float((emb.forward(ids) * upstream_e).sum()),
+        lambda: float((emb.forward(ids)[0] * upstream_e).sum()),
         {"table": table},
         emb_grads,
         frozen_rows=("table",),
     )
 
     conv = ConvLayer(Rng(3).uniform(-0.6, 0.6, (m, h, k)), Rng(4).uniform(-0.2, 0.2, m))
-    sentence = Rng(5).uniform(-0.8, 0.8, (n, k))
-    upstream_c = Rng(6).uniform(-1, 1, (n - h + 1, m))
-    conv.forward(sentence)
-    conv_grads, _ = conv.backward(upstream_c)
+    sentence = Rng(5).uniform(-0.8, 0.8, (1, n, k))
+    upstream_c = Rng(6).uniform(-1, 1, (1, n - h + 1, m))
+    conv_grads, _ = conv.backward(conv.forward(sentence)[1], upstream_c)
     sweep(
-        lambda: float((conv.forward(sentence) * upstream_c).sum()),
+        lambda: float((conv.forward(sentence)[0] * upstream_c).sum()),
         {"filters": conv.filters, "bias": conv.bias},
         conv_grads,
     )
 
     lstm = LstmLayer(
-        {g: Rng(7).split(g).uniform(-0.4, 0.4, (d_h, m + d_h)) for g in LstmLayer.GATES},
-        {g: Rng(8).split(g).uniform(-0.2, 0.2, d_h) for g in LstmLayer.GATES},
+        np.concatenate(
+            [Rng(7).split(g).uniform(-0.4, 0.4, (d_h, m + d_h)) for g in LstmLayer.GATES]
+        ),
+        np.concatenate([Rng(8).split(g).uniform(-0.2, 0.2, d_h) for g in LstmLayer.GATES]),
     )
-    steps = Rng(9).uniform(-0.9, 0.9, (n - h + 1, m))
+    steps = Rng(9).uniform(-0.9, 0.9, (1, n - h + 1, m))
     upstream_l = Rng(10).uniform(-1, 1, d_h)
-    lstm.forward(steps)
-    lstm_grads, _ = lstm.backward(upstream_l)
-    arrays = {f"w_{g}": lstm.weights[g] for g in LstmLayer.GATES}
-    arrays.update({f"b_{g}": lstm.biases[g] for g in LstmLayer.GATES})
-    sweep(lambda: float(lstm.forward(steps) @ upstream_l), arrays, lstm_grads)
+    lstm_grads, _ = lstm.backward(lstm.forward(steps)[1], upstream_l[None])
+    # the fused tensors hold every gate's block, so this sweeps each of them
+    arrays = {"weights": lstm.weights, "bias": lstm.bias}
+    sweep(lambda: float(lstm.forward(steps)[0][0] @ upstream_l), arrays, lstm_grads)
 
     dense = DenseSoftmax(Rng(11).uniform(-1, 1, (3, d_h)), Rng(12).uniform(-1, 1, 3))
-    hidden = Rng(13).uniform(-1, 1, d_h)
-    dense_grads, _ = dense.backward(cross_entropy_grad(dense.forward(hidden), 1))
+    hidden = Rng(13).uniform(-1, 1, (1, d_h))
+    probs, dense_cache = dense.forward(hidden)
+    dense_grads, _ = dense.backward(dense_cache, cross_entropy_grad(probs, [1]))
     sweep(
-        lambda: cross_entropy(dense.forward(hidden), 1),
+        lambda: float(cross_entropy(dense.forward(hidden)[0], [1])[0]),
         {"weights": dense.weights, "bias": dense.bias},
         dense_grads,
     )
@@ -161,11 +161,11 @@ def test_criterion_1_gradient_correctness():
     ]
 
     def batch_loss():
-        return sum(cross_entropy(model.forward(i), lab) for i, lab in batch) / len(batch)
+        return sum(cross_entropy(model.forward(i[None])[0], lab) for i, lab in batch) / len(batch)
 
     summed = None
     for ids_, label in batch:
-        _, grads = model.forward_backward(ids_, label)
+        _, grads = model.forward_backward(ids_[None], [label])
         if summed is None:
             summed = {k_: v.copy() for k_, v in grads.items()}
         else:
@@ -189,7 +189,7 @@ def test_criterion_2_shape_law():
     for n in range(2, 33):
         for h in range(1, n + 1):
             layer = ConvLayer(np.zeros((m, h, k)), np.zeros(m))
-            out = layer.forward(np.zeros((n, k)))
+            out = layer.forward(np.zeros((1, n, k)))[0][0]
             assert out.shape == (n - h + 1, m)
             assert out.size == m * (n - h + 1)
             checked += 1
@@ -353,7 +353,7 @@ def test_criterion_6_serialization(tmp_path):
 
     gen = np.random.default_rng(99)
     for _ in range(100):
-        ids = gen.integers(0, len(vocab), size=corpus.n)
+        ids = gen.integers(0, len(vocab), size=(1, corpus.n))
         npt.assert_array_equal(model.forward(ids), loaded.forward(ids))
 
     blob = path.read_bytes()

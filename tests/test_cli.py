@@ -10,6 +10,7 @@ from sentinet import cli
 from sentinet.model_training import NonFiniteLoss, load_model
 
 from conftest import make_toy_texts
+from test_model_training import rewrite_header
 
 
 def write_toy_csv(path: Path, per_class: int = 10) -> Path:
@@ -232,6 +233,22 @@ class TestEvaluate:
         assert lines[0] == "predicted\\actual,-1,0,1"
         assert len(lines) == 4
 
+    def test_negative_cache_id_exits_2(self, prepared, trained, tmp_path, capsys):
+        _, data_dir = prepared
+        bad = tmp_path / "bad_data"
+        bad.mkdir()
+        for name in ("vocab.json", "meta.json"):
+            (bad / name).write_bytes((data_dir / name).read_bytes())
+        lines = (data_dir / "encoded.csv").read_text("utf-8").splitlines(keepends=True)
+        lines[1] = "-1" + lines[1][lines[1].index(" "):]
+        (bad / "encoded.csv").write_text("".join(lines), encoding="utf-8")
+        code = cli.main(
+            ["evaluate", "--model", str(trained), "--data", str(bad),
+             "--out-dir", str(tmp_path / "r")]
+        )
+        assert code == 2
+        assert "outside table" in capsys.readouterr().err
+
     def test_missing_model_exits_2(self, prepared, tmp_path):
         _, data_dir = prepared
         code = cli.main(
@@ -261,6 +278,14 @@ class TestPredict:
         code = cli.main(["predict", "--model", str(model_path), ""])
         assert code == 0
         assert capsys.readouterr().out.strip()
+
+    def test_malformed_header_exits_2(self, model_path, tmp_path, capsys):
+        bad = tmp_path / "model.bin"
+        bad.write_bytes(model_path.read_bytes())
+        rewrite_header(bad, lambda header: header["config"].update(extra=1))
+        code = cli.main(["predict", "--model", str(bad), "a splendid day"])
+        assert code == 2
+        assert "malformed header" in capsys.readouterr().err
 
     def test_stdin_lines(self, model_path, capsys, monkeypatch):
         import io

@@ -88,6 +88,13 @@ class TestLoadCorpus:
         assert corpus.examples[0].text == 'hello, "world"'
         assert len(corpus) == 2
 
+    def test_leading_byte_order_mark(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"\xef\xbb\xbftext,label\ngood news,1\n")
+        corpus = load_corpus(path)
+        assert corpus.labels() == [POSITIVE]
+        assert corpus.examples[0].text == "good news"
+
 
 class TestLabels:
     def test_round_trip(self):

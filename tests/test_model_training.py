@@ -1,13 +1,17 @@
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from sentinet.corpus_io import NEGATIVE, NEUTRAL, POSITIVE
-from sentinet.layers import cross_entropy
+from sentinet.layers import LstmLayer, cross_entropy
 from sentinet.metrics import confusion, macro_report
 from sentinet.model_training import (
+    VARIANTS,
     AdamState,
     CorruptFile,
     FormatVersionMismatch,
@@ -26,7 +30,7 @@ from sentinet.model_training import (
     train,
 )
 from sentinet.preprocess import EncodedCorpus, build_vocabulary
-from sentinet.tensor_core import Rng, ShapeMismatch
+from sentinet.tensor_core import Rng, ShapeMismatch, init_uniform
 
 SMALL = dict(seq_len=7, embed_dim=4, window=3, filters=2, hidden=5)
 
@@ -42,6 +46,19 @@ def random_sequences(count, seq_len, vocab_size, seed=0):
     return gen.integers(0, vocab_size, size=(count, seq_len))
 
 
+def rewrite_header(path, mutate) -> None:
+    """Apply ``mutate`` to a model file's header JSON and re-seal the file
+    with a valid length and checksum."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + header_len])
+    mutate(header)
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = blob[:8] + struct.pack("<Q", len(header_bytes)) + header_bytes
+    body += blob[16 + header_len : -32]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
 class TestBuildModel:
     def test_parameter_count_matches_closed_form(self):
         model, vocab = small_model()
@@ -49,6 +66,38 @@ class TestBuildModel:
         h, m, d_h = SMALL["window"], SMALL["filters"], SMALL["hidden"]
         expected = V * k + m * h * k + m + 4 * d_h * (m + d_h) + 4 * d_h + 3 * d_h + 3
         assert model.parameter_count() == expected
+
+    # sha256 of every parameter's bytes in file order (seed 7, SMALL widths,
+    # four-token vocabulary), as drawn when each LSTM gate was its own
+    # tensor: fusing the gates must not change a seeded model's start
+    PARENT_DIGESTS = {
+        "cnn-lstm": "c238709ab6a906246cea4cf806e9f6c73e99ad5f0a3c0116f34933f538e3f180",
+        "cnn": "7f9d2e127e2c8c9ac1ab9cb902b0bace5c328e33612ff7ceee3ac2730167701f",
+        "lstm": "b5ea6279715360469f34ed0b62326e1b18a0843abc47ad9570cf2e4c24f365f5",
+    }
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_seeded_parameters_match_per_tensor_streams(self, variant):
+        model, vocab = small_model(variant)
+        params = model.parameters()
+        digest = hashlib.sha256(b"".join(a.tobytes() for a in params.values())).hexdigest()
+        assert digest == self.PARENT_DIGESTS[variant]
+
+        def xavier(label, rows, cols):
+            scale = math.sqrt(6.0 / (rows + cols))
+            return init_uniform(Rng(7).split(label), rows, cols, scale)
+
+        table = xavier("embedding.table", len(vocab), SMALL["embed_dim"])
+        table[0] = 0.0
+        npt.assert_array_equal(params["embedding.table"], table)
+        npt.assert_array_equal(
+            params["head.weights"], xavier("head.weights", 3, params["head.weights"].shape[1])
+        )
+        if "lstm" in model.stages:
+            d_h = SMALL["hidden"]
+            blocks = np.split(params["lstm.weights"], len(LstmLayer.GATES))
+            for gate, block in zip(LstmLayer.GATES, blocks):
+                npt.assert_array_equal(block, xavier(f"lstm.w_{gate}", d_h, block.shape[1]))
 
     def test_same_seed_bitwise_equal_parameters(self):
         a, _ = small_model(seed=123)
@@ -70,20 +119,21 @@ class TestBuildModel:
 
     def test_forget_gate_bias_starts_at_one(self):
         model, _ = small_model()
-        npt.assert_array_equal(model.lstm.biases["forget"], 1.0)
-        npt.assert_array_equal(model.lstm.biases["input"], 0.0)
+        bias = dict(zip(LstmLayer.GATES, np.split(model.stages["lstm"].bias, 4)))
+        npt.assert_array_equal(bias["forget"], 1.0)
+        npt.assert_array_equal(bias["input"], 0.0)
 
     def test_pad_embedding_row_is_zero(self):
         model, _ = small_model()
-        npt.assert_array_equal(model.embedding.table[0], 0.0)
+        npt.assert_array_equal(model.stages["embedding"].table[0], 0.0)
 
     def test_variant_layers(self):
         cnn, _ = small_model("cnn")
-        assert cnn.conv is not None and cnn.lstm is None
+        assert list(cnn.stages) == ["embedding", "conv", "pool", "head"]
         lstm, _ = small_model("lstm")
-        assert lstm.conv is None and lstm.lstm is not None
+        assert list(lstm.stages) == ["embedding", "lstm", "head"]
         both, _ = small_model("cnn-lstm")
-        assert both.conv is not None and both.lstm is not None
+        assert list(both.stages) == ["embedding", "conv", "lstm", "head"]
 
 
 class TestForward:
@@ -92,42 +142,67 @@ class TestForward:
             model, _ = small_model(variant)
             for arr in model.parameters().values():
                 arr[:] = 0.0
-            probs = model.forward(np.array([2, 3, 4, 5, 2, 0, 0]))
+            probs = model.forward(np.array([[2, 3, 4, 5, 2, 0, 0]]))
             npt.assert_allclose(probs, 1 / 3, atol=1e-15)
 
     def test_equals_hand_composed_layers(self):
         model, vocab = small_model("cnn-lstm")
-        ids = np.array([2, 4, 3, 5, 0, 0, 0])
-        expected = model.head.forward(
-            model.lstm.forward(model.conv.forward(model.embedding.forward(ids)))
-        )
+        ids = np.array([[2, 4, 3, 5, 0, 0, 0]])
+        s = model.stages
+        x = s["embedding"].forward(ids)[0]
+        expected = s["head"].forward(s["lstm"].forward(s["conv"].forward(x)[0])[0])[0]
         npt.assert_array_equal(model.forward(ids), expected)
 
     def test_cnn_variant_equals_hand_composition(self):
         model, _ = small_model("cnn")
-        ids = np.array([2, 4, 3, 5, 2, 3, 4])
-        feats = model.conv.forward(model.embedding.forward(ids))
-        expected = model.head.forward(feats.mean(axis=0))
+        ids = np.array([[2, 4, 3, 5, 2, 3, 4]])
+        s = model.stages
+        feats = s["conv"].forward(s["embedding"].forward(ids)[0])[0]
+        expected = s["head"].forward(feats.mean(axis=1))[0]
         npt.assert_array_equal(model.forward(ids), expected)
 
     def test_lstm_variant_equals_hand_composition(self):
         model, _ = small_model("lstm")
-        ids = np.array([5, 4, 3, 2, 0, 0, 0])
-        expected = model.head.forward(model.lstm.forward(model.embedding.forward(ids)))
+        ids = np.array([[5, 4, 3, 2, 0, 0, 0]])
+        s = model.stages
+        expected = s["head"].forward(s["lstm"].forward(s["embedding"].forward(ids)[0])[0])[0]
         npt.assert_array_equal(model.forward(ids), expected)
 
     def test_outputs_are_probability_vectors(self):
         model, vocab = small_model()
-        for ids in random_sequences(1000, SMALL["seq_len"], len(vocab), seed=5):
-            probs = model.forward(ids)
-            assert probs.shape == (3,)
-            assert np.all(probs >= 0)
-            assert abs(probs.sum() - 1.0) <= 1e-9
+        probs = model.forward(random_sequences(1000, SMALL["seq_len"], len(vocab), seed=5))
+        assert probs.shape == (1000, 3)
+        assert np.all(probs >= 0)
+        assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
 
     def test_wrong_length_rejected(self):
         model, _ = small_model()
         with pytest.raises(InvalidConfig):
-            model.forward(np.zeros(3, dtype=np.int64))
+            model.forward(np.zeros((1, 3), dtype=np.int64))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+class TestBatching:
+    """A batch gives what its rows give as batches of one."""
+
+    def test_forward_equals_batches_of_one(self, variant):
+        model, vocab = small_model(variant)
+        ids = random_sequences(9, SMALL["seq_len"], len(vocab), seed=3)
+        batched = model.forward(ids)
+        for row, probs in zip(ids, batched):
+            npt.assert_allclose(probs, model.forward(row[None])[0], rtol=0, atol=1e-12)
+
+    def test_forward_backward_equals_mean_of_examples(self, variant):
+        model, vocab = small_model(variant)
+        ids = random_sequences(6, SMALL["seq_len"], len(vocab), seed=4)
+        labels = np.array([0, 1, 2, 2, 1, 0])
+        loss, grads = model.forward_backward(ids, labels)
+        singles = [model.forward_backward(i[None], l[None]) for i, l in zip(ids, labels)]
+        assert abs(loss - np.mean([l for l, _ in singles])) <= 1e-12
+        assert grads.keys() == model.parameters().keys()
+        for name, grad in grads.items():
+            mean = np.mean([g[name] for _, g in singles], axis=0)
+            npt.assert_allclose(grad, mean, rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestOptimizers:
@@ -219,7 +294,7 @@ class TestTrain:
         config = ModelConfig(variant="lstm", seq_len=corpus.n, embed_dim=4,
                              window=2, filters=2, hidden=3)
         model = build_model(config, vocab, Rng(1))
-        model.head.bias[0] = float("nan")
+        model.stages["head"].bias[0] = float("nan")
         with pytest.raises(NonFiniteLoss) as err:
             train(model, corpus, None, TrainConfig(epochs=1, seed=0))
         assert err.value.epoch == 1
@@ -284,8 +359,8 @@ class TestSerialization:
         path = tmp_path / "model.bin"
         save_model(model, path)
         loaded = load_model(path)
-        for ids in random_sequences(100, corpus.n, len(vocab), seed=8):
-            npt.assert_array_equal(model.forward(ids), loaded.forward(ids))
+        ids = random_sequences(100, corpus.n, len(vocab), seed=8)
+        npt.assert_array_equal(model.forward(ids), loaded.forward(ids))
 
     def test_round_trip_preserves_history_and_pipeline(self, tmp_path, toy_corpus):
         corpus, vocab, pipeline = toy_corpus
@@ -297,9 +372,23 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.history.records == model.history.records
+        for name, arr in model.parameters().items():
+            npt.assert_array_equal(loaded.parameters()[name], arr)
         assert loaded.pipeline.stop_words.words == pipeline.stop_words.words
         assert loaded.config == model.config
         assert loaded.vocab.tokens() == vocab.tokens()
+
+    def test_round_trip_without_validation(self, tmp_path, toy_corpus):
+        corpus, vocab, pipeline = toy_corpus
+        config = ModelConfig(variant="cnn", seq_len=corpus.n, embed_dim=3,
+                             window=2, filters=2, hidden=2)
+        model = build_model(config, vocab, Rng(6), pipeline)
+        train(model, corpus, None, TrainConfig(epochs=2, seed=6))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        records = load_model(path).history.records
+        assert [r.train_loss for r in records] == [r.train_loss for r in model.history.records]
+        assert all(math.isnan(r.val_loss) and math.isnan(r.val_accuracy) for r in records)
 
     def test_truncated_file_rejected(self, tmp_path, toy_corpus):
         corpus, vocab, _ = toy_corpus
@@ -337,6 +426,46 @@ class TestSerialization:
         blob[4] += 1  # version field sits right after the magic
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatVersionMismatch):
+            load_model(path)
+
+    def test_format_1_file_rejected(self, tmp_path):
+        model, _ = small_model("cnn")
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatVersionMismatch):
+            load_model(path)
+
+    MALFORMED_HEADERS = {
+        "extra-config-key": lambda h: h["config"].update(extra=1),
+        "missing-config-key": lambda h: h["config"].pop("hidden"),
+        "other-variant": lambda h: h["config"].update(variant="cnn"),
+        "float-width": lambda h: h["config"].update(hidden=2.0),
+        "missing-history": lambda h: h.pop("history"),
+        "extra-key": lambda h: h.update(extra=None),
+        "extra-vocab-key": lambda h: h["vocab"].update(extra=None),
+        "renamed-param": lambda h: h["params"][-1].update(name="head.offset"),
+        "reordered-params": lambda h: h["params"].reverse(),
+        "missing-param": lambda h: h.update(params=h["params"][:-1]),
+        "short-history-row": lambda h: h["history"].append([1]),
+        "partial-pipeline": lambda h: h.update(pipeline={"dedupe": False}),
+        "empty-pipeline": lambda h: h.update(pipeline={}),
+    }
+
+    @pytest.mark.parametrize(
+        "mutate", MALFORMED_HEADERS.values(), ids=list(MALFORMED_HEADERS)
+    )
+    def test_malformed_header_rejected(self, tmp_path, toy_corpus, mutate):
+        corpus, vocab, pipeline = toy_corpus
+        config = ModelConfig(variant="cnn-lstm", seq_len=corpus.n, embed_dim=3,
+                             window=2, filters=2, hidden=2)
+        path = tmp_path / "model.bin"
+        save_model(build_model(config, vocab, Rng(5), pipeline), path)
+        load_model(path)
+        rewrite_header(path, mutate)
+        with pytest.raises(CorruptFile):
             load_model(path)
 
     def test_not_a_model_file(self, tmp_path):
@@ -380,4 +509,4 @@ def test_cross_entropy_of_forward_is_finite(toy_corpus):
                          window=3, filters=2, hidden=3)
     model = build_model(config, vocab, Rng(30))
     for ids, label in zip(corpus.sequences, corpus.labels):
-        assert math.isfinite(cross_entropy(model.forward(ids), int(label)))
+        assert math.isfinite(cross_entropy(model.forward(ids[None])[0], int(label)))
