@@ -2,7 +2,7 @@
 
 Library layout:
 
-* :mod:`sentinet.corpus_io`       CSV corpora, histograms, stratified splits
+* :mod:`sentinet.corpus_io`       CSV corpora, splits, the checksummed file container
 * :mod:`sentinet.preprocess`      cleaning pipeline, vocabulary, encoding
 * :mod:`sentinet.stemming`        Porter suffix-stripping stemmer
 * :mod:`sentinet.tensor_core`     logistic function and seeded RNG streams

@@ -2,11 +2,14 @@
 
 Subcommands wire the library into the usual offline workflow:
 
-    ingest          CSV -> cleaned, encoded corpus cache + class histogram
-    train           cache -> model file + per-epoch history CSV
+    ingest          CSV -> prepared corpus directory
+    train           prepared corpus -> model file + per-epoch history CSV
     evaluate        model + corpus -> metrics report + confusion matrix CSV
     predict         model + raw text lines -> label + class probabilities
     history-export  model file -> per-epoch history CSV
+
+The prepared corpus directory ``ingest`` writes holds ``encoded.bin`` (the
+corpus cache), ``vocab.json``, ``meta.json`` and ``histogram.csv``.
 
 Settings may come from an INI config file (sections [data], [model],
 [train], [split]); command-line flags override the file.  There is no
@@ -30,8 +33,6 @@ from .corpus_io import CorpusError, SplitSpec
 from .layers import IdOutOfRange
 from .model_training import (
     VARIANTS,
-    CorruptFile,
-    FormatVersionMismatch,
     InvalidConfig,
     Model,
     ModelConfig,
@@ -58,6 +59,7 @@ from .preprocess import (
 from .tensor_core import Rng
 
 USAGE_ERROR, DATA_ERROR, DIVERGENCE_ERROR = 1, 2, 3
+CACHE_FILE = "encoded.bin"
 
 
 class _UsageError(Exception):
@@ -75,16 +77,15 @@ def _load_config(path: str | None) -> dict[str, str]:
         return {}
     parser = configparser.ConfigParser()
     with open(path, encoding="utf-8") as fh:
-        parser.read_file(fh)
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise _UsageError("; ".join(str(exc).splitlines())) from None
     flat: dict[str, str] = {}
     for section in parser.sections():
         for key, value in parser.items(section):
             flat[key.replace("-", "_")] = value
     return flat
-
-
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def _resolve(args, config: dict[str, str], key: str, default, kind=str):
@@ -94,16 +95,11 @@ def _resolve(args, config: dict[str, str], key: str, default, kind=str):
         return flag
     if key in config:
         raw = config[key]
-        if kind is bool:
-            lowered = raw.strip().lower()
-            if lowered in _BOOL_TRUE:
-                return True
-            if lowered in _BOOL_FALSE:
-                return False
-            raise _UsageError(f"config key {key}: not a boolean: {raw!r}")
         try:
+            if kind is bool:  # the INI format's words: 1/0, yes/no, true/false, on/off
+                return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
             return kind(raw)
-        except ValueError:
+        except (KeyError, ValueError):
             raise _UsageError(f"config key {key}: bad value {raw!r}") from None
     return default
 
@@ -251,7 +247,7 @@ def cmd_ingest(args, config) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_corpus_cache(encoded, out / "encoded.csv")
+    write_corpus_cache(encoded, out / CACHE_FILE)
     (out / "vocab.json").write_text(
         json.dumps(vocab.to_json(), sort_keys=True), encoding="utf-8"
     )
@@ -272,15 +268,30 @@ def cmd_ingest(args, config) -> int:
     return 0
 
 
+def _read_prepared(data_dir) -> tuple[EncodedCorpus, Vocabulary, PipelineConfig]:
+    """The cache, vocabulary and pipeline of a directory ``ingest`` wrote;
+    CorpusError unless the JSON files hold what ``ingest`` writes and every
+    id indexes the vocabulary."""
+    data_dir = Path(data_dir)
+    encoded = read_corpus_cache(data_dir / CACHE_FILE)
+    try:
+        vocab = Vocabulary.from_json(json.loads((data_dir / "vocab.json").read_text("utf-8")))
+        pipeline = PipelineConfig.from_json(json.loads((data_dir / "meta.json").read_text("utf-8")))
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise CorpusError(f"malformed vocab.json or meta.json in {data_dir}: {exc!r}") from None
+    if encoded.sequences.size and encoded.sequences.max() >= len(vocab):
+        raise CorpusError(
+            f"cache id {encoded.sequences.max()} outside a vocabulary of {len(vocab)}: {data_dir}"
+        )
+    return encoded, vocab, pipeline
+
+
 def cmd_train(args, config) -> int:
-    data_dir = Path(args.data)
-    encoded = read_corpus_cache(data_dir / "encoded.csv")
-    vocab = Vocabulary.from_json(json.loads((data_dir / "vocab.json").read_text("utf-8")))
-    meta = json.loads((data_dir / "meta.json").read_text("utf-8"))
+    encoded, vocab, pipeline = _read_prepared(args.data)
 
     model_keys = ("variant", "embed_dim", "window", "filters", "hidden", "activation")
     model_config = ModelConfig(
-        seq_len=meta["seq_len"], **_settings(args, config, ModelConfig, model_keys)
+        seq_len=encoded.n, **_settings(args, config, ModelConfig, model_keys)
     )
     train_keys = ("epochs", "batch_size", "lr", "optimizer", "beta1", "beta2", "eps", "seed")
     no_shuffle = bool(_resolve(args, config, "no_shuffle", False, bool))
@@ -293,9 +304,7 @@ def cmd_train(args, config) -> int:
     train_part = encoded.subset(train_idx)
     val_part = encoded.subset(val_idx) if val_idx else None
 
-    model = build_model(
-        model_config, vocab, Rng(train_config.seed), PipelineConfig.from_json(meta)
-    )
+    model = build_model(model_config, vocab, Rng(train_config.seed), pipeline)
     model, history = train(model, train_part, val_part, train_config)
 
     out = Path(args.out_dir)
@@ -309,9 +318,7 @@ def cmd_train(args, config) -> int:
 
 def _encoded_for_evaluate(args, model: Model) -> EncodedCorpus:
     if args.data is not None:
-        data_dir = Path(args.data)
-        encoded = read_corpus_cache(data_dir / "encoded.csv")
-        vocab = Vocabulary.from_json(json.loads((data_dir / "vocab.json").read_text("utf-8")))
+        encoded, vocab, _ = _read_prepared(args.data)
         if vocab.tokens() != model.vocab.tokens():
             raise CorpusError(
                 "prepared corpus was encoded with a different vocabulary"
@@ -357,7 +364,7 @@ def cmd_evaluate(args, config) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args, config) -> int:
     model = load_model(args.model)
     texts = list(args.texts)
     if args.stdin:
@@ -369,11 +376,20 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def cmd_history_export(args) -> int:
+def cmd_history_export(args, config) -> int:
     model = load_model(args.model)
     Path(args.out).write_text(model.history.to_csv(), encoding="utf-8")
     print(f"wrote {len(model.history)} epoch records to {args.out}")
     return 0
+
+
+COMMANDS = {
+    "ingest": cmd_ingest,
+    "train": cmd_train,
+    "evaluate": cmd_evaluate,
+    "predict": cmd_predict,
+    "history-export": cmd_history_export,
+}
 
 
 def main(argv=None) -> int:
@@ -381,15 +397,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _load_config(getattr(args, "config", None))
-        if args.command == "ingest":
-            return cmd_ingest(args, config)
-        if args.command == "train":
-            return cmd_train(args, config)
-        if args.command == "evaluate":
-            return cmd_evaluate(args, config)
-        if args.command == "predict":
-            return cmd_predict(args)
-        return cmd_history_export(args)
+        return COMMANDS[args.command](args, config)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -399,16 +407,7 @@ def main(argv=None) -> int:
     except NonFiniteLoss as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return DIVERGENCE_ERROR
-    except (
-        CorpusError,
-        CorruptFile,
-        FormatVersionMismatch,
-        IdOutOfRange,
-        OSError,
-        ValueError,
-        KeyError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (CorpusError, IdOutOfRange, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -1,40 +1,30 @@
-"""CSV corpus loading, class histograms, and deterministic stratified splits.
+"""CSV corpus loading, class histograms, deterministic stratified splits,
+and the checksummed container that the package's binary files share.
 
-Sentiment classes travel as the literal strings "-1", "0", "1" in files
+Sentiment classes travel as the literal strings "-1", "0", "1" in CSV files
 (negative / neutral / positive) but are held internally as the contiguous
 indices 0/1/2 so one-hot targets stay simple.  The mapping is confined to
 this module's I/O boundary and to the export helpers.
+
+Container layout, integers little-endian, header a UTF-8 JSON object with
+sorted keys:
+
+    magic (4 bytes) | u32 version | u64 header length | header JSON |
+    payload | sha256 of everything before it
+
+The magic and version name a format, whose module defines its header
+fields and payload: the model file in :mod:`sentinet.model_training`, the
+corpus cache in :mod:`sentinet.preprocess`.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 import random
+import struct
 from dataclasses import dataclass
-
-__all__ = [
-    "NEGATIVE",
-    "NEUTRAL",
-    "POSITIVE",
-    "CLASS_NAMES",
-    "CorpusError",
-    "MissingColumn",
-    "UnparsableLabel",
-    "EmptyFile",
-    "EmptyText",
-    "DegenerateSplit",
-    "LabeledExample",
-    "LabeledCorpus",
-    "SplitSpec",
-    "external_label",
-    "internal_label",
-    "load_corpus",
-    "deduplicate",
-    "class_histogram",
-    "stratified_indices",
-    "stratified_split",
-    "histogram_to_csv",
-]
 
 NEGATIVE, NEUTRAL, POSITIVE = 0, 1, 2
 CLASS_NAMES = ("-1", "0", "1")
@@ -44,6 +34,15 @@ _EXTERNAL_TO_INTERNAL = {name: label for label, name in enumerate(CLASS_NAMES)}
 
 class CorpusError(Exception):
     """Base for corpus loading and splitting failures."""
+
+
+class UnreadableRow(CorpusError):
+    """A row the csv module cannot parse, such as an oversized field."""
+
+    def __init__(self, row: int, path: str, reason: str):
+        where = "header" if row == 0 else f"row {row}"
+        super().__init__(f"{where}: {reason} ({path})")
+        self.row = row
 
 
 class MissingColumn(CorpusError):
@@ -144,24 +143,29 @@ def load_corpus(path, text_column: str = "text", label_column: str = "label") ->
     """
     path = str(path)
     examples: list[LabeledExample] = []
+    row_number = -1  # the last row read: 0 is the header, 1 the first data row
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
-        header = reader.fieldnames
-        if header is None:
-            raise EmptyFile(path)
-        for column in (text_column, label_column):
-            if column not in header:
-                raise MissingColumn(column, path)
-        for row_number, row in enumerate(reader, start=1):
-            raw_label = row.get(label_column) or ""
-            try:
-                label = internal_label(raw_label)
-            except KeyError:
-                raise UnparsableLabel(raw_label, row_number, path) from None
-            text = (row.get(text_column) or "").strip()
-            if not text:
-                raise EmptyText(row_number, path)
-            examples.append(LabeledExample(text=text, label=label))
+        try:
+            header = reader.fieldnames
+            row_number = 0
+            if header is None:
+                raise EmptyFile(path)
+            for column in (text_column, label_column):
+                if column not in header:
+                    raise MissingColumn(column, path)
+            for row_number, row in enumerate(reader, start=1):
+                raw_label = row.get(label_column) or ""
+                try:
+                    label = internal_label(raw_label)
+                except KeyError:
+                    raise UnparsableLabel(raw_label, row_number, path) from None
+                text = (row.get(text_column) or "").strip()
+                if not text:
+                    raise EmptyText(row_number, path)
+                examples.append(LabeledExample(text=text, label=label))
+        except csv.Error as exc:  # raised while reading the next row
+            raise UnreadableRow(row_number + 1, path, str(exc)) from None
     if not examples:
         raise EmptyFile(path)
     return LabeledCorpus(tuple(examples), source_path=path)
@@ -250,3 +254,53 @@ def histogram_to_csv(histogram: tuple[int, int, int]) -> str:
     for label, count in zip(CLASS_NAMES, histogram):
         lines.append(f"{label},{count}")
     return "\n".join(lines) + "\n"
+
+
+# --- checksummed container (layout in the module docstring) ----------------
+
+_PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
+_DIGEST_SIZE = hashlib.sha256().digest_size
+
+
+class CorruptFile(ValueError):
+    """A file that is not, or is no longer, what its writer wrote."""
+
+
+class FormatVersionMismatch(ValueError):
+    """A file of a format version this build does not read."""
+
+
+def write_container(path, magic: bytes, version: int, header: dict, payload) -> None:
+    """Write ``header`` and the buffers in ``payload`` (bytes or contiguous
+    arrays, in order) as one checksummed file."""
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for part in (_PREFIX.pack(magic, version, len(header_bytes)), header_bytes, *payload):
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
+
+
+def read_container(path, magic: bytes, version: int, kind: str) -> tuple[dict, memoryview]:
+    """(header, payload) of a file ``write_container`` wrote with ``magic``
+    and ``version``; the format's reader checks the payload against the
+    header.  ``kind`` names the format in error messages."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < _PREFIX.size + _DIGEST_SIZE or blob[:4] != magic:
+        raise CorruptFile(f"not a {kind} file: {path}")
+    _, found, header_len = _PREFIX.unpack_from(blob)
+    if found != version:
+        raise FormatVersionMismatch(f"{kind} format {found}, this build reads {version}")
+    body = memoryview(blob)[:-_DIGEST_SIZE]
+    if hashlib.sha256(body).digest() != blob[-_DIGEST_SIZE:]:
+        raise CorruptFile(f"checksum mismatch: {path}")
+    end = _PREFIX.size + header_len
+    try:
+        header = json.loads(bytes(body[_PREFIX.size : end]).decode("utf-8"))
+    except (ValueError, RecursionError):
+        header = None
+    if end > len(body) or not isinstance(header, dict):
+        raise CorruptFile(f"malformed header: {path}")
+    return header, body[end:]

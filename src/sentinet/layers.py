@@ -30,19 +30,6 @@ import numpy as np
 from . import tensor_core as tc
 from .preprocess import PAD_ID
 
-__all__ = [
-    "IdOutOfRange",
-    "SequenceTooShort",
-    "EmptySequence",
-    "EmbeddingLayer",
-    "ConvLayer",
-    "LstmLayer",
-    "MeanPool",
-    "DenseSoftmax",
-    "cross_entropy",
-    "cross_entropy_grad",
-]
-
 _LOG_EPS = 1e-12
 
 

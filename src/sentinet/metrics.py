@@ -19,25 +19,6 @@ import numpy as np
 
 from .corpus_io import CLASS_NAMES
 
-__all__ = [
-    "LengthMismatch",
-    "LabelOutOfRange",
-    "ConfusionMatrix3",
-    "BinaryCounts",
-    "confusion",
-    "one_vs_rest",
-    "precision",
-    "recall",
-    "f1",
-    "accuracy",
-    "auc",
-    "ClassScores",
-    "MacroReport",
-    "macro_report",
-    "report_to_csv",
-    "confusion_to_csv",
-]
-
 
 class LengthMismatch(ValueError):
     pass

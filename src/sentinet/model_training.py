@@ -21,29 +21,29 @@ slices of ``EVAL_BATCH`` examples, so its memory does not grow with the
 corpus.  Everything is deterministic: data, configs and seeds fix every
 parameter, every history record, and every prediction bitwise.
 
-Model file, format 2:
-
-    MAGIC "SNET" | u32 version | u64 header length | header JSON |
-    parameter payload | sha256 of everything before it
-
-The header holds the config, vocabulary, pipeline settings, history and
-each parameter's name and shape, in stage order; the payload holds the
-parameters in that order as little-endian float64.  A header must be
-exactly the one ``save_model`` writes for the model it describes.
+The model file is a container of :mod:`sentinet.corpus_io` (layout
+there) with magic ``SNET`` and version 2.  Its header holds ``config``,
+``vocab``, ``pipeline``, ``history`` and ``params``, each parameter's name
+and shape in stage order; the payload holds the parameters in that order
+as little-endian float64.  A header must be exactly the one ``save_model``
+writes for the model it describes.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import struct
 from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
 
 from . import tensor_core as tc
-from .corpus_io import CLASS_NAMES
+from .corpus_io import (  # load_model's errors are importable from here too
+    CLASS_NAMES,
+    CorruptFile,
+    FormatVersionMismatch,
+    read_container,
+    write_container,
+)
 from .layers import (
     ConvLayer,
     DenseSoftmax,
@@ -60,30 +60,6 @@ from .preprocess import (
     Vocabulary,
     encode_and_pad,
 )
-
-__all__ = [
-    "STAGES",
-    "VARIANTS",
-    "InvalidConfig",
-    "NonFiniteLoss",
-    "FormatVersionMismatch",
-    "CorruptFile",
-    "ModelConfig",
-    "TrainConfig",
-    "EpochRecord",
-    "EpochHistory",
-    "Model",
-    "build_model",
-    "sgd_step",
-    "AdamState",
-    "adam_step",
-    "train",
-    "EvalResult",
-    "evaluate",
-    "predict_text",
-    "save_model",
-    "load_model",
-]
 
 MAGIC = b"SNET"
 FORMAT_VERSION = 2
@@ -146,14 +122,6 @@ class NonFiniteLoss(ArithmeticError):
         super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
-
-
-class FormatVersionMismatch(ValueError):
-    pass
-
-
-class CorruptFile(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -479,7 +447,7 @@ def predict_text(model: Model, raw: str) -> tuple[int, np.ndarray]:
     return int(np.argmax(probs)), probs
 
 
-# --- model file (layout in the module docstring) ---------------------------
+# --- model file (header and payload in the module docstring) --------------
 
 
 def _header(model: Model) -> dict:
@@ -496,34 +464,13 @@ def _header(model: Model) -> dict:
 
 
 def save_model(model: Model, path) -> None:
-    header_bytes = json.dumps(_header(model), sort_keys=True).encode("utf-8")
-    payload = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        for arr in model.parameters().values()
-    )
-    blob = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header_bytes)) + header_bytes + payload
-    blob += hashlib.sha256(blob).digest()
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    payload = [np.ascontiguousarray(a, dtype="<f8") for a in model.parameters().values()]
+    write_container(path, MAGIC, FORMAT_VERSION, _header(model), payload)
 
 
 def load_model(path) -> Model:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 + 4 + 8 + 32 or blob[:4] != MAGIC:
-        raise CorruptFile(f"not a model file: {path}")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != FORMAT_VERSION:
-        raise FormatVersionMismatch(
-            f"model format {version}, this build reads {FORMAT_VERSION}"
-        )
-    body = memoryview(blob)[:-32]
-    if hashlib.sha256(body).digest() != blob[-32:]:
-        raise CorruptFile(f"checksum mismatch: {path}")
-    (header_len,) = struct.unpack_from("<Q", blob, 8)
-    offset = 16 + header_len
+    header, payload = read_container(path, MAGIC, FORMAT_VERSION, "model")
     try:
-        header = json.loads(bytes(body[16:offset]).decode("utf-8"))
         config = ModelConfig(**header["config"])
         vocab = Vocabulary.from_json(header["vocab"])
         pipeline = header["pipeline"]
@@ -531,18 +478,19 @@ def load_model(path) -> Model:
         history = EpochHistory([EpochRecord(*row) for row in header["history"]])
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CorruptFile(f"malformed header: {path}") from exc
+    offset = 0
 
     def read(name, shape):
         nonlocal offset
         count = math.prod(shape)
-        if offset + 8 * count > len(body):
+        if offset + 8 * count > len(payload):
             raise CorruptFile(f"parameter payload truncated: {path}")
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=offset)
+        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         offset += 8 * count
         return arr.reshape(shape).copy()
 
     model = Model(config, vocab, _make_stages(config, len(vocab), read), pipeline)
-    if offset != len(body):
+    if offset != len(payload):
         raise CorruptFile(f"trailing bytes after parameters: {path}")
     model.history = history
     if _header(model) != header:

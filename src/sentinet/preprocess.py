@@ -8,11 +8,15 @@ input the previous stages have already normalized:
 
 URL removal runs before punctuation removal on purpose: stripping
 punctuation first would shatter every URL into junk tokens.
+
+The corpus cache is a container of :mod:`sentinet.corpus_io` (layout
+there) with magic ``SNEC`` and version 1.  Its header holds ``rows`` and
+``seq_len``; the payload holds the (rows, seq_len) id matrix row by row,
+then the rows' labels 0/1/2, all as little-endian int64.
 """
 
 from __future__ import annotations
 
-import csv
 import re
 import string
 from collections import Counter
@@ -21,33 +25,8 @@ from importlib import resources
 
 import numpy as np
 
-from .corpus_io import external_label, internal_label
+from .corpus_io import CorruptFile, read_container, write_container
 from .stemming import stem
-
-__all__ = [
-    "StopWordList",
-    "PipelineConfig",
-    "Vocabulary",
-    "TokenSequence",
-    "EncodedCorpus",
-    "PAD_ID",
-    "UNK_ID",
-    "load_stop_words",
-    "default_stop_words",
-    "remove_urls",
-    "filter_twitter_artifacts",
-    "remove_punctuation",
-    "tokenize",
-    "remove_stop_words",
-    "stem",
-    "clean_tokens",
-    "preprocess_pipeline",
-    "build_vocabulary",
-    "encode_and_pad",
-    "encode_corpus",
-    "write_corpus_cache",
-    "read_corpus_cache",
-]
 
 PAD_ID = 0
 UNK_ID = 1
@@ -300,35 +279,32 @@ def encode_corpus(token_lists, labels, vocab: Vocabulary, n: int) -> EncodedCorp
     return EncodedCorpus(seqs, np.asarray(labels, dtype=np.int64))
 
 
-# cache file: CSV with header ids,label; ids space-separated, labels -1/0/1
+CACHE_MAGIC = b"SNEC"
+CACHE_VERSION = 1
 
 
 def write_corpus_cache(corpus: EncodedCorpus, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ids", "label"])
-        for row, label in zip(corpus.sequences, corpus.labels):
-            writer.writerow(
-                [" ".join(str(v) for v in row), external_label(int(label))]
-            )
+    rows, n = corpus.sequences.shape
+    payload = [np.ascontiguousarray(a, dtype="<i8") for a in (corpus.sequences, corpus.labels)]
+    write_container(path, CACHE_MAGIC, CACHE_VERSION, {"rows": rows, "seq_len": n}, payload)
 
 
 def read_corpus_cache(path) -> EncodedCorpus:
-    seqs: list[list[int]] = []
-    labels: list[int] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["ids", "label"]:
-            raise ValueError(f"not a corpus cache file: {path}")
-        for row in reader:
-            seqs.append([int(v) for v in row[0].split()])
-            labels.append(internal_label(row[1]))
-    if not seqs:
-        raise ValueError(f"corpus cache is empty: {path}")
-    lengths = {len(s) for s in seqs}
-    if len(lengths) != 1:
-        raise ValueError(f"corpus cache rows have mixed lengths: {sorted(lengths)}")
-    return EncodedCorpus(
-        np.asarray(seqs, dtype=np.int64), np.asarray(labels, dtype=np.int64)
-    )
+    """The cached corpus; CorruptFile unless every id is >= 0 and every label
+    is 0, 1 or 2.  The cache does not hold the vocabulary that bounds the
+    ids from above: its caller checks that bound."""
+    header, payload = read_container(path, CACHE_MAGIC, CACHE_VERSION, "corpus cache")
+    rows, n = header.get("rows"), header.get("seq_len")
+    if header.keys() != {"rows", "seq_len"} or type(rows) is not int or type(n) is not int:
+        raise CorruptFile(f"malformed header: {path}")
+    if rows < 0 or n < 1 or len(payload) != 8 * rows * (n + 1):
+        raise CorruptFile(f"payload does not match the shape in its header: {path}")
+    values = np.frombuffer(payload, dtype="<i8")
+    sequences, labels = values[: rows * n].reshape(rows, n), values[rows * n :]
+    for bad, what in (
+        ((sequences < 0).any(axis=1), "negative token id"),
+        ((labels < 0) | (labels > 2), "label outside 0, 1, 2"),
+    ):
+        if bad.any():
+            raise CorruptFile(f"row {int(np.argmax(bad)) + 1}: {what}: {path}")
+    return EncodedCorpus(sequences, labels)

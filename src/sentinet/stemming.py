@@ -9,8 +9,6 @@ through unchanged.
 
 from __future__ import annotations
 
-__all__ = ["stem"]
-
 _VOWELS = "aeiou"
 
 

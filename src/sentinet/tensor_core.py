@@ -11,13 +11,6 @@ import zlib
 
 import numpy as np
 
-__all__ = [
-    "ShapeMismatch",
-    "Rng",
-    "sigmoid",
-    "init_uniform",
-]
-
 
 class ShapeMismatch(ValueError):
     """Operand shapes are incompatible for the requested operation."""

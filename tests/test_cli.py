@@ -7,7 +7,9 @@ import numpy.testing as npt
 import pytest
 
 from sentinet import cli
+from sentinet.corpus_io import SplitSpec, stratified_indices
 from sentinet.model_training import NonFiniteLoss, load_model
+from sentinet.preprocess import EncodedCorpus, read_corpus_cache, write_corpus_cache
 
 from conftest import make_toy_texts
 from test_model_training import rewrite_header
@@ -37,6 +39,27 @@ def prepared(tmp_path_factory):
     return csv_path, data_dir
 
 
+def copy_prepared(data_dir: Path, dest: Path, edit_cache=None) -> Path:
+    """A copy of a prepared directory.  ``edit_cache(sequences, labels)``
+    may change the cache's arrays in place; the copy is then written by
+    ``write_corpus_cache``, so it stays a well-sealed file."""
+    dest.mkdir()
+    for name in ("vocab.json", "meta.json", "histogram.csv"):
+        (dest / name).write_bytes((data_dir / name).read_bytes())
+    cache = read_corpus_cache(data_dir / "encoded.bin")
+    sequences, labels = cache.sequences.copy(), cache.labels.copy()
+    if edit_cache is not None:
+        edit_cache(sequences, labels)
+    write_corpus_cache(EncodedCorpus(sequences, labels), dest / "encoded.bin")
+    return dest
+
+
+def one_error_line(capsys, prefix="error: ") -> str:
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and len(err.splitlines()) == 1, err
+    return err
+
+
 def train_args(data_dir, out_dir, **over):
     settings = {
         "epochs": "3",
@@ -57,7 +80,7 @@ def train_args(data_dir, out_dir, **over):
 class TestIngest:
     def test_outputs_exist(self, prepared):
         _, data_dir = prepared
-        for name in ("encoded.csv", "vocab.json", "meta.json", "histogram.csv"):
+        for name in ("encoded.bin", "vocab.json", "meta.json", "histogram.csv"):
             assert (data_dir / name).exists()
 
     def test_histogram_rows(self, prepared):
@@ -73,7 +96,7 @@ class TestIngest:
             ["ingest", "--csv", str(csv_path), "--out-dir", str(again), "--seq-len", "12"]
         )
         assert code == 0
-        for name in ("encoded.csv", "vocab.json", "meta.json", "histogram.csv"):
+        for name in ("encoded.bin", "vocab.json", "meta.json", "histogram.csv"):
             assert (again / name).read_bytes() == (data_dir / name).read_bytes()
 
     def test_missing_label_column_exits_2(self, tmp_path, capsys):
@@ -88,6 +111,13 @@ class TestIngest:
             ["ingest", "--csv", str(tmp_path / "nope.csv"), "--out-dir", str(tmp_path / "o")]
         )
         assert code == 2
+
+    def test_oversized_field_exits_2(self, tmp_path, capsys):
+        big = tmp_path / "big.csv"
+        big.write_text("text,label\nfine,1\n" + "x" * 200_000 + ",0\n", encoding="utf-8")
+        code = cli.main(["ingest", "--csv", str(big), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert one_error_line(capsys).startswith("error: row 2: field larger than field limit")
 
     def test_bad_label_value_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -201,7 +231,7 @@ class TestEvaluate:
              "--out-dir", str(reports)]
         )
         assert code == 0
-        corpus = read_corpus_cache(data_dir / "encoded.csv")
+        corpus = read_corpus_cache(data_dir / "encoded.bin")
         result = lib_evaluate(load_model(trained), corpus)
         cm = confusion(result.predictions, [int(l) for l in corpus.labels])
         expected = report_to_csv(macro_report(cm))
@@ -235,19 +265,32 @@ class TestEvaluate:
 
     def test_negative_cache_id_exits_2(self, prepared, trained, tmp_path, capsys):
         _, data_dir = prepared
-        bad = tmp_path / "bad_data"
-        bad.mkdir()
-        for name in ("vocab.json", "meta.json"):
-            (bad / name).write_bytes((data_dir / name).read_bytes())
-        lines = (data_dir / "encoded.csv").read_text("utf-8").splitlines(keepends=True)
-        lines[1] = "-1" + lines[1][lines[1].index(" "):]
-        (bad / "encoded.csv").write_text("".join(lines), encoding="utf-8")
+
+        def negative(sequences, labels):
+            sequences[0, 0] = -1
+
+        bad = copy_prepared(data_dir, tmp_path / "bad_data", negative)
         code = cli.main(
             ["evaluate", "--model", str(trained), "--data", str(bad),
              "--out-dir", str(tmp_path / "r")]
         )
         assert code == 2
-        assert "outside table" in capsys.readouterr().err
+        assert "row 1: negative token id" in one_error_line(capsys)
+
+    def test_cache_id_beyond_vocabulary_exits_2(self, prepared, trained, tmp_path, capsys):
+        _, data_dir = prepared
+        vocab_size = len(load_model(trained).vocab)
+
+        def too_large(sequences, labels):
+            sequences[-1, 0] = vocab_size
+
+        bad = copy_prepared(data_dir, tmp_path / "bad_data", too_large)
+        code = cli.main(
+            ["evaluate", "--model", str(trained), "--data", str(bad),
+             "--out-dir", str(tmp_path / "r")]
+        )
+        assert code == 2
+        assert f"outside a vocabulary of {vocab_size}" in one_error_line(capsys)
 
     def test_missing_model_exits_2(self, prepared, tmp_path):
         _, data_dir = prepared
@@ -256,6 +299,76 @@ class TestEvaluate:
              "--out-dir", str(tmp_path / "r")]
         )
         assert code == 2
+
+
+class TestDamagedCache:
+    def test_truncated_cache_exits_2(self, prepared, tmp_path, capsys):
+        _, data_dir = prepared
+        bad = copy_prepared(data_dir, tmp_path / "bad")
+        blob = (bad / "encoded.bin").read_bytes()
+        (bad / "encoded.bin").write_bytes(blob[:-9])
+        assert cli.main(train_args(bad, tmp_path / "run")) == 2
+        assert "checksum mismatch" in one_error_line(capsys)
+
+    def test_bit_flipped_cache_exits_2(self, prepared, trained, tmp_path, capsys):
+        _, data_dir = prepared
+        bad = copy_prepared(data_dir, tmp_path / "bad")
+        blob = bytearray((bad / "encoded.bin").read_bytes())
+        blob[len(blob) // 2] ^= 0x10
+        (bad / "encoded.bin").write_bytes(bytes(blob))
+        assert cli.main(train_args(bad, tmp_path / "run")) == 2
+        assert "checksum mismatch" in one_error_line(capsys)
+        code = cli.main(
+            ["evaluate", "--model", str(trained), "--data", str(bad),
+             "--out-dir", str(tmp_path / "r")]
+        )
+        assert code == 2
+        one_error_line(capsys)
+
+    def test_negative_id_exits_2_on_train(self, prepared, tmp_path, capsys):
+        _, data_dir = prepared
+
+        def negative(sequences, labels):
+            sequences[3, 1] = -7
+
+        bad = copy_prepared(data_dir, tmp_path / "bad", negative)
+        assert cli.main(train_args(bad, tmp_path / "run")) == 2
+        assert "row 4: negative token id" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("partition", ["train", "test"])
+    def test_id_beyond_vocabulary_exits_2_on_train(self, prepared, tmp_path, capsys, partition):
+        """Also when the row is in the test partition, which train never reads."""
+        _, data_dir = prepared
+        vocab_size = len(json.loads((data_dir / "vocab.json").read_text("utf-8"))["tokens"]) + 2
+
+        def too_large(sequences, labels):
+            parts = dict(zip(("train", "val", "test"), stratified_indices(labels, SplitSpec())))
+            sequences[parts[partition][0], 0] = vocab_size
+
+        bad = copy_prepared(data_dir, tmp_path / "bad", too_large)
+        assert cli.main(train_args(bad, tmp_path / "run")) == 2
+        assert f"outside a vocabulary of {vocab_size}" in one_error_line(capsys)
+        assert not (tmp_path / "run" / "model.bin").exists()
+
+
+    @pytest.mark.parametrize("name, text", [
+        ("vocab.json", "[]"),
+        ("vocab.json", '{"tokens": 5, "min_frequency": 1}'),
+        ("meta.json", '{"stop_words": 5, "drop_hashtag_words": false, "dedupe": false}'),
+        ("meta.json", "{}"),
+    ])
+    def test_malformed_json_file_exits_2(self, prepared, trained, tmp_path, capsys, name, text):
+        _, data_dir = prepared
+        bad = copy_prepared(data_dir, tmp_path / "bad")
+        (bad / name).write_text(text, encoding="utf-8")
+        assert cli.main(train_args(bad, tmp_path / "run")) == 2
+        assert "malformed vocab.json or meta.json" in one_error_line(capsys)
+        code = cli.main(
+            ["evaluate", "--model", str(trained), "--data", str(bad),
+             "--out-dir", str(tmp_path / "r")]
+        )
+        assert code == 2
+        one_error_line(capsys)
 
 
 class TestPredict:
@@ -318,6 +431,21 @@ class TestUsageErrors:
 
     def test_unknown_command(self):
         assert cli.main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("text", [
+        "epochs = 3\n",
+        "[train]\nepochs = 3\nepochs = 4\n",
+    ], ids=["no-section", "duplicate-key"])
+    def test_malformed_config_file_exits_1(self, prepared, tmp_path, capsys, text):
+        csv_path, _ = prepared
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text, encoding="utf-8")
+        code = cli.main(
+            ["ingest", "--csv", str(csv_path), "--out-dir", str(tmp_path / "o"),
+             "--config", str(ini)]
+        )
+        assert code == 1
+        one_error_line(capsys, prefix="usage error: ")
 
     def test_invalid_window_exits_1(self, prepared, tmp_path):
         _, data_dir = prepared

@@ -14,6 +14,7 @@ from sentinet.corpus_io import (
     MissingColumn,
     SplitSpec,
     UnparsableLabel,
+    UnreadableRow,
     class_histogram,
     deduplicate,
     external_label,
@@ -94,6 +95,23 @@ class TestLoadCorpus:
         corpus = load_corpus(path)
         assert corpus.labels() == [POSITIVE]
         assert corpus.examples[0].text == "good news"
+
+
+    def test_oversized_field_names_its_row(self, tmp_path):
+        field_limit = csv.field_size_limit()
+        path = write_csv(tmp_path / "c.csv", [("fine", "1"), ("x" * (field_limit + 1), "0")])
+        with pytest.raises(UnreadableRow) as err:
+            load_corpus(path)
+        assert err.value.row == 2
+        assert str(err.value).startswith("row 2: field larger than field limit")
+        assert csv.field_size_limit() == field_limit
+
+    def test_oversized_header_field(self, tmp_path):
+        path = write_csv(tmp_path / "c.csv", [("fine", "1")], header=("t" * 200_000, "label"))
+        with pytest.raises(UnreadableRow) as err:
+            load_corpus(path)
+        assert err.value.row == 0
+        assert str(err.value).startswith("header: ")
 
 
 class TestLabels:

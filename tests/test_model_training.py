@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -14,6 +16,8 @@ from sentinet.model_training import (
     VARIANTS,
     AdamState,
     CorruptFile,
+    EpochHistory,
+    EpochRecord,
     FormatVersionMismatch,
     InvalidConfig,
     Model,
@@ -31,6 +35,8 @@ from sentinet.model_training import (
 )
 from sentinet.preprocess import EncodedCorpus, build_vocabulary
 from sentinet.tensor_core import Rng, ShapeMismatch, init_uniform
+
+from conftest import encode_toy_corpus, make_toy_texts
 
 SMALL = dict(seq_len=7, embed_dim=4, window=3, filters=2, hidden=5)
 
@@ -468,6 +474,23 @@ class TestSerialization:
         with pytest.raises(CorruptFile):
             load_model(path)
 
+    # sha256 of the file save_model wrote for this model before the container
+    # framing moved to corpus_io: format 2 must stay the same byte for byte
+    FORMAT_2_FILE_DIGEST = "41edc9f5cfb2b64f2f6be394ab178b850cbc44d34cb3a2d97715c9babfc79207"
+
+    def test_file_bytes_are_pinned(self, tmp_path, toy_corpus):
+        corpus, vocab, pipeline = toy_corpus
+        config = ModelConfig(variant="cnn-lstm", seq_len=corpus.n, embed_dim=3,
+                             window=2, filters=2, hidden=2)
+        model = build_model(config, vocab, Rng(5), pipeline)
+        model.history = EpochHistory([
+            EpochRecord(1, 1.25, 0.5, float("nan"), float("nan")),
+            EpochRecord(2, 0.75, 2 / 3, 0.875, 0.6),
+        ])
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.FORMAT_2_FILE_DIGEST
+
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "nope.bin"
         path.write_bytes(b"definitely not a model file, far too short?" * 3)
@@ -493,6 +516,28 @@ class TestPredictText:
         label, probs = predict_text(model, "")
         assert probs.shape == (3,)
         assert abs(probs.sum() - 1.0) <= 1e-9
+
+    def test_threads_sharing_a_model_match_serial_calls(self):
+        texts, _ = make_toy_texts(per_class=20)
+        texts = [f"{t} {i}" for i, t in enumerate(texts)]
+        corpus, vocab, pipeline = encode_toy_corpus(texts, [0] * len(texts))
+        config = ModelConfig(variant="cnn-lstm", seq_len=corpus.n, embed_dim=6,
+                             window=3, filters=4, hidden=5)
+        model = build_model(config, vocab, Rng(16), pipeline)
+
+        def predict(text):
+            label, probs = predict_text(model, text)
+            return label, probs.tobytes()
+
+        serial = [predict(t) for t in texts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(3):
+                    assert list(pool.map(predict, texts, timeout=60)) == serial
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_requires_pipeline(self, toy_corpus):
         corpus, vocab, _ = toy_corpus

@@ -5,7 +5,10 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
+from sentinet.corpus_io import CorruptFile, FormatVersionMismatch, read_container, write_container
 from sentinet.preprocess import (
+    CACHE_MAGIC,
+    CACHE_VERSION,
     PAD_ID,
     UNK_ID,
     EncodedCorpus,
@@ -210,31 +213,114 @@ class TestEncodeAndPad:
         assert seq.true_length == min(n_tokens, n)
 
 
+def write_raw_cache(path, header, sequences, labels):
+    """A cache file sealed by the container writer around any content."""
+    payload = [np.ascontiguousarray(a, dtype="<i8") for a in (sequences, labels)]
+    write_container(path, CACHE_MAGIC, CACHE_VERSION, header, payload)
+
+
 class TestCorpusCache:
-    def test_round_trip(self, tmp_path):
+    @pytest.fixture
+    def cache(self, tmp_path):
         vocab = build_vocabulary([["a", "b"], ["c"]], min_frequency=1)
         corpus = encode_corpus([["a", "b"], ["c"], []], [0, 1, 2], vocab, n=4)
-        path = tmp_path / "cache.csv"
+        path = tmp_path / "cache.bin"
         write_corpus_cache(corpus, path)
+        return corpus, path
+
+    def test_round_trip(self, cache):
+        corpus, path = cache
         loaded = read_corpus_cache(path)
-        npt.assert_array_equal(loaded.sequences, corpus.sequences)
-        npt.assert_array_equal(loaded.labels, corpus.labels)
+        assert loaded.sequences.tobytes() == corpus.sequences.tobytes()
+        assert loaded.labels.tobytes() == corpus.labels.tobytes()
+        assert loaded.sequences.dtype == loaded.labels.dtype == np.int64
         assert loaded.n == 4
 
-    def test_header_and_labels_are_external(self, tmp_path):
-        vocab = build_vocabulary([["a"]], min_frequency=1)
-        corpus = encode_corpus([["a"]], [0], vocab, n=2)
-        path = tmp_path / "cache.csv"
-        write_corpus_cache(corpus, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "ids,label"
-        assert lines[1].endswith(",-1")
+    def test_rewrite_is_byte_identical(self, cache, tmp_path):
+        _, path = cache
+        again = tmp_path / "again.bin"
+        write_corpus_cache(read_corpus_cache(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_layout_is_a_container_of_int64_arrays(self, cache):
+        corpus, path = cache
+        header, payload = read_container(path, b"SNEC", 1, "corpus cache")
+        assert header == {"rows": 3, "seq_len": 4}
+        values = np.frombuffer(payload, dtype="<i8")
+        npt.assert_array_equal(values[:12].reshape(3, 4), corpus.sequences)
+        npt.assert_array_equal(values[12:], [0, 1, 2])  # internal labels
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.csv"
-        path.write_text("x,y\n1,2\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        path.write_text("x,y\n1,2\n" * 10, encoding="utf-8")
+        with pytest.raises(CorruptFile):
             read_corpus_cache(path)
+
+    def test_rejects_negative_id(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        write_raw_cache(path, {"rows": 2, "seq_len": 2}, [[2, 3], [4, -1]], [0, 1])
+        with pytest.raises(CorruptFile, match="row 2: negative token id"):
+            read_corpus_cache(path)
+
+    @pytest.mark.parametrize("label", [-1, 3, 2**40])
+    def test_rejects_label_outside_classes(self, tmp_path, label):
+        path = tmp_path / "cache.bin"
+        write_raw_cache(path, {"rows": 2, "seq_len": 2}, [[2, 3], [4, 5]], [label, 1])
+        with pytest.raises(CorruptFile, match="row 1: label outside"):
+            read_corpus_cache(path)
+
+    @pytest.mark.parametrize("header", [
+        {"rows": 3, "seq_len": 2},
+        {"rows": 2, "seq_len": 3},
+        {"rows": 1, "seq_len": 2},
+        {"rows": -2, "seq_len": 2},
+    ])
+    def test_rejects_payload_not_matching_header_shape(self, tmp_path, header):
+        path = tmp_path / "cache.bin"
+        write_raw_cache(path, header, [[2, 3], [4, 5]], [0, 1])
+        with pytest.raises(CorruptFile, match="does not match the shape"):
+            read_corpus_cache(path)
+
+    @pytest.mark.parametrize("header", [
+        {"rows": 2},
+        {"rows": 2, "seq_len": 2, "extra": 0},
+        {"rows": 2.0, "seq_len": 2},
+        {"rows": True, "seq_len": 2},
+    ])
+    def test_rejects_malformed_header(self, tmp_path, header):
+        path = tmp_path / "cache.bin"
+        write_raw_cache(path, header, [[2, 3], [4, 5]], [0, 1])
+        with pytest.raises(CorruptFile, match="malformed header"):
+            read_corpus_cache(path)
+
+    def test_rejects_truncation_and_bit_flip(self, cache, tmp_path):
+        _, path = cache
+        blob = path.read_bytes()
+        for cut in (1, 8, 32, len(blob) - 4):
+            path.write_bytes(blob[: len(blob) - cut])
+            with pytest.raises(CorruptFile):
+                read_corpus_cache(path)
+        for at in range(16, len(blob), 7):
+            flipped = bytearray(blob)
+            flipped[at] ^= 0x01
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(CorruptFile):
+                read_corpus_cache(path)
+
+    def test_rejects_version_bump(self, cache):
+        _, path = cache
+        blob = bytearray(path.read_bytes())
+        blob[4] += 1
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatVersionMismatch):
+            read_corpus_cache(path)
+
+    def test_empty_corpus_round_trips(self, tmp_path):
+        corpus = encode_corpus([], [], build_vocabulary([], 1), n=3)
+        path = tmp_path / "cache.bin"
+        write_corpus_cache(corpus, path)
+        loaded = read_corpus_cache(path)
+        assert loaded.sequences.shape == (0, 3) and len(loaded) == 0
 
 
 def test_encoded_corpus_subset():
