@@ -16,8 +16,9 @@ Settings may come from an INI config file (sections [data], [model],
 interactive mode and no wall-clock seeding: identical inputs, flags and
 seeds reproduce identical outputs byte for byte.
 
-Exit codes: 0 success, 1 usage error, 2 I/O or format error,
-3 numerical divergence during training.
+Exit codes: 0 success; 1 usage error, which is a bad flag or config file
+or a setting outside its range (every ``InvalidConfig``); 2 I/O or format
+error in an input file; 3 numerical divergence during training.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ import sys
 from pathlib import Path
 
 from . import corpus_io, metrics
-from .corpus_io import CorpusError, SplitSpec
+from .corpus_io import CorpusError, InvalidConfig, SplitSpec
 from .layers import IdOutOfRange
 from .model_training import (
     VARIANTS,
-    InvalidConfig,
     Model,
     ModelConfig,
     NonFiniteLoss,

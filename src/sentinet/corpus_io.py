@@ -123,11 +123,11 @@ class SplitSpec:
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0,1): {self.train_fraction}")
+            raise InvalidConfig(f"train_fraction must be in (0,1): {self.train_fraction}")
         if not 0.0 <= self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in [0,1): {self.val_fraction}")
+            raise InvalidConfig(f"val_fraction must be in [0,1): {self.val_fraction}")
         if self.train_fraction + self.val_fraction >= 1.0:
-            raise ValueError("train_fraction + val_fraction must leave room for test")
+            raise InvalidConfig("train_fraction + val_fraction must leave room for test")
 
     @property
     def test_fraction(self) -> float:
@@ -260,6 +260,10 @@ def histogram_to_csv(histogram: tuple[int, int, int]) -> str:
 
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
 _DIGEST_SIZE = hashlib.sha256().digest_size
+
+
+class InvalidConfig(ValueError):
+    """A setting outside its documented range; the CLI's usage error."""
 
 
 class CorruptFile(ValueError):

@@ -21,11 +21,16 @@ gradient of a scalar loss with respect to ``y`` into its gradients with
 respect to each parameter (keyed by ``PARAMS``, summed over the batch)
 and with respect to ``x``.  All gradients are exact derivatives; the test
 suite checks each one against central finite differences.
+
+Parameter gradients are arrays, except the embedding table's: a batch
+reads few of its rows, so its gradient is a :class:`RowSparse` value
+holding only those rows.  ``np.asarray`` gives its dense V x k form.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from . import tensor_core as tc
 from .preprocess import PAD_ID
@@ -60,6 +65,27 @@ def _activation_grad(name: str, out: np.ndarray) -> np.ndarray:
     return out * (1.0 - out)
 
 
+class RowSparse(NDArrayOperatorsMixin):
+    """An array of ``shape`` that is zero outside the sorted, distinct
+    ``rows``; ``values[i]`` is row ``rows[i]``.  ``np.asarray`` and the
+    arithmetic operators see the dense array."""
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple):
+        self.rows = rows
+        self.values = values
+        self.shape = shape
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a row-sparse array has no dense buffer to share")
+        dense = np.zeros(self.shape, dtype=self.values.dtype if dtype is None else dtype)
+        dense[self.rows] = self.values
+        return dense
+
+
 class EmbeddingLayer:
     """Lookup table of shape V x k; row PAD_ID is zero and never learns."""
 
@@ -77,10 +103,13 @@ class EmbeddingLayer:
         return self.table[ids], ids
 
     def backward(self, ids, d_out):
-        d_table = np.zeros_like(self.table)
-        np.add.at(d_table, ids, d_out)
-        d_table[PAD_ID] = 0.0  # pad embedding is frozen
-        return {"table": d_table}, None
+        rows, at = np.unique(ids, return_inverse=True)
+        values = np.zeros((len(rows), self.table.shape[1]))
+        # one add per position in the ids' flat order, so each row sums its
+        # terms in the order a dense V x k accumulation would
+        np.add.at(values, at.reshape(-1), d_out.reshape(-1, values.shape[1]))
+        values[rows == PAD_ID] = 0.0  # pad embedding is frozen
+        return {"table": RowSparse(rows, values, self.table.shape)}, None
 
 
 class ConvLayer:

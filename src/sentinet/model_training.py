@@ -16,9 +16,15 @@ Every pass runs on a batch: ids are (B, seq_len) and probabilities are
 (B, 3).  Training is plain mini-batch gradient descent (SGD or Adam) over
 the mean cross-entropy of each batch, one ``forward_backward`` call per
 batch, with a seeded shuffle per epoch and one history record per epoch
-computed over the full train and validation sets.  ``evaluate`` runs in
-slices of ``EVAL_BATCH`` examples, so its memory does not grow with the
-corpus.  Everything is deterministic: data, configs and seeds fix every
+computed over the full train and validation sets.  Both optimizers work
+in place and give the bits of the textbook update over whole tensors:
+``sgd_step`` updates only the embedding rows the batch's row-sparse
+gradient holds; ``adam_step`` decays both moments over every row, adds
+the gradient terms at the touched rows only, and builds the update in
+the two scratch arrays per parameter that ``AdamState`` keeps, in the
+textbook expression's operation order.  ``evaluate`` runs in slices of
+``EVAL_BATCH`` examples, so its memory does not grow with the corpus.
+Everything is deterministic: data, configs and seeds fix every
 parameter, every history record, and every prediction bitwise.
 
 The model file is a container of :mod:`sentinet.corpus_io` (layout
@@ -37,10 +43,11 @@ from dataclasses import asdict, astuple, dataclass, field
 import numpy as np
 
 from . import tensor_core as tc
-from .corpus_io import (  # load_model's errors are importable from here too
+from .corpus_io import (  # the errors of load_model and the configs are importable here too
     CLASS_NAMES,
     CorruptFile,
     FormatVersionMismatch,
+    InvalidConfig,
     read_container,
     write_container,
 )
@@ -50,6 +57,7 @@ from .layers import (
     EmbeddingLayer,
     LstmLayer,
     MeanPool,
+    RowSparse,
     cross_entropy,
     cross_entropy_grad,
 )
@@ -111,10 +119,6 @@ STAGES = {
 VARIANTS = tuple(STAGES)
 
 
-class InvalidConfig(ValueError):
-    pass
-
-
 class NonFiniteLoss(ArithmeticError):
     """Training diverged: a batch produced a NaN/inf loss."""
 
@@ -153,7 +157,8 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings.
+    """Optimization settings: a finite learning rate >= 0, Adam's betas in
+    [0, 1) and a finite epsilon > 0; InvalidConfig otherwise.
 
     epochs=0 is allowed and means "initialize only": useful for comparing
     a trained run against its starting parameters.
@@ -171,13 +176,20 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+            raise InvalidConfig(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+            raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise InvalidConfig(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
         if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"optimizer must be adam or sgd: {self.optimizer!r}")
+            raise InvalidConfig(f"optimizer must be adam or sgd: {self.optimizer!r}")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise InvalidConfig(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise InvalidConfig(f"epsilon must be finite and > 0, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -313,21 +325,39 @@ def build_model(
     return model
 
 
+def _nonzero_part(params: dict, name: str, grad) -> tuple:
+    """(index, values): where ``grad`` can be nonzero in ``params[name]``,
+    and its values there; every row of a dense gradient, the listed rows
+    of a RowSparse one."""
+    if params[name].shape != grad.shape:
+        raise tc.ShapeMismatch(f"{name}: param {params[name].shape} vs grad {grad.shape}")
+    if isinstance(grad, RowSparse):
+        return grad.rows, grad.values
+    return ..., grad
+
+
 def sgd_step(params: dict, grads: dict, learning_rate: float) -> None:
-    """In-place theta <- theta - lr * g."""
+    """In-place theta <- theta - lr * g, on the rows where g can be nonzero
+    (elsewhere it subtracts zero, which leaves theta's bits as they are)."""
     for name, grad in grads.items():
-        if params[name].shape != grad.shape:
-            raise tc.ShapeMismatch(
-                f"{name}: param {params[name].shape} vs grad {grad.shape}"
-            )
-        params[name] -= learning_rate * grad
+        index, g = _nonzero_part(params, name, grad)
+        params[name][index] -= learning_rate * g
 
 
 @dataclass
 class AdamState:
+    """Adam's two moments per parameter and the steps taken so far.  Two
+    scratch arrays per parameter, ``scratch[name]``, hold the update while
+    adam_step builds it."""
+
     first_moment: dict[str, np.ndarray]
     second_moment: dict[str, np.ndarray]
     step: int = 0
+
+    def __post_init__(self):
+        self.scratch = {
+            n: (np.empty_like(m), np.empty_like(m)) for n, m in self.first_moment.items()
+        }
 
     @classmethod
     def for_params(cls, params: dict) -> "AdamState":
@@ -338,23 +368,36 @@ class AdamState:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update (Kingma & Ba 2014), in place.
+
+    Both moments decay over the whole tensor, and the gradient terms are
+    added only where the gradient can be nonzero.  The update is built in
+    the state's scratch arrays, in the order of the expression
+    theta -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), so
+    every parameter and moment gets the bits that expression gives.  One
+    exception, at beta1 <= 1/2 only: a first moment that decays from
+    below to zero in a row the batch did not touch stays -0.0, where
+    adding the zero gradient term would give +0.0.  The parameters are
+    the same either way.
+    """
     state.step += 1
     t = state.step
     for name, grad in grads.items():
-        if params[name].shape != grad.shape:
-            raise tc.ShapeMismatch(
-                f"{name}: param {params[name].shape} vs grad {grad.shape}"
-            )
+        index, g = _nonzero_part(params, name, grad)
         m = state.first_moment[name]
         v = state.second_moment[name]
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * grad
+        m[index] += (1.0 - cfg.beta1) * g
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * grad * grad
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        v[index] += (1.0 - cfg.beta2) * g * g
+        step, denom = state.scratch[name]
+        np.divide(m, 1.0 - cfg.beta1**t, out=step)
+        np.multiply(cfg.learning_rate, step, out=step)
+        np.divide(v, 1.0 - cfg.beta2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        np.add(denom, cfg.epsilon, out=denom)
+        np.divide(step, denom, out=step)
+        params[name] -= step
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from importlib import resources
 
 import numpy as np
 
-from .corpus_io import CorruptFile, read_container, write_container
+from .corpus_io import CorruptFile, InvalidConfig, read_container, write_container
 from .stemming import stem
 
 PAD_ID = 0
@@ -214,7 +214,7 @@ class Vocabulary:
 def build_vocabulary(token_lists, min_frequency: int = 1) -> Vocabulary:
     """Index every token whose corpus frequency reaches ``min_frequency``."""
     if min_frequency < 1:
-        raise ValueError(f"min_frequency must be >= 1, got {min_frequency}")
+        raise InvalidConfig(f"min_frequency must be >= 1, got {min_frequency}")
     counts = Counter()
     for tokens in token_lists:
         counts.update(tokens)
@@ -237,7 +237,7 @@ class TokenSequence:
 def encode_and_pad(tokens: list[str], vocab: Vocabulary, n: int) -> TokenSequence:
     """Map tokens to ids, truncate past ``n``, and zero-pad up to ``n``."""
     if n < 1:
-        raise ValueError(f"sequence length must be >= 1, got {n}")
+        raise InvalidConfig(f"sequence length must be >= 1, got {n}")
     ids = np.full(n, PAD_ID, dtype=np.int64)
     kept = tokens[:n]
     for i, tok in enumerate(kept):

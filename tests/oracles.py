@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from sentinet.preprocess import PAD_ID
+
 
 def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(1.0, abs(analytic))
@@ -86,3 +88,36 @@ def naive_lstm_single_step(x, h_prev, c_prev, weights, biases):
     c = gate_forget * c_prev + gate_in * candidate
     h = gate_out * np.tanh(c)
     return h, c
+
+
+def dense_embedding_backward(table_shape, ids, d_out) -> np.ndarray:
+    """The embedding table's gradient accumulated into a zeroed V x k array,
+    pad row frozen: the reference for the row-sparse gradient."""
+    d_table = np.zeros(table_shape)
+    np.add.at(d_table, ids, d_out)
+    d_table[PAD_ID] = 0.0
+    return d_table
+
+
+def dense_sgd_step(params: dict, grads: dict, learning_rate: float) -> None:
+    """theta <- theta - lr * g over every entry of every tensor."""
+    for name, grad in grads.items():
+        params[name] -= learning_rate * np.asarray(grad)
+
+
+def dense_adam_step(params: dict, grads: dict, state, cfg) -> None:
+    """Bias-corrected Adam (Kingma & Ba 2014) as the textbook expressions
+    over whole tensors, each building its own temporaries."""
+    state.step += 1
+    t = state.step
+    for name, grad in grads.items():
+        grad = np.asarray(grad)
+        m = state.first_moment[name]
+        v = state.second_moment[name]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * grad
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * grad * grad
+        m_hat = m / (1.0 - cfg.beta1**t)
+        v_hat = v / (1.0 - cfg.beta2**t)
+        params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)

@@ -95,7 +95,7 @@ def test_criterion_1_gradient_correctness():
         nonlocal worst
         for name, array in arrays.items():
             numeric = central_difference_grad(loss_fn, array, DELTA)
-            ana = analytic[name].reshape(-1)
+            ana = np.asarray(analytic[name]).reshape(-1)
             num = numeric.reshape(-1)
             start_index = frozen_rows.count(name) and array.shape[1]
             for i in range(start_index, array.size):
@@ -167,7 +167,7 @@ def test_criterion_1_gradient_correctness():
     for ids_, label in batch:
         _, grads = model.forward_backward(ids_[None], [label])
         if summed is None:
-            summed = {k_: v.copy() for k_, v in grads.items()}
+            summed = {k_: np.array(v) for k_, v in grads.items()}
         else:
             for k_ in summed:
                 summed[k_] += grads[k_]

@@ -447,7 +447,35 @@ class TestUsageErrors:
         assert code == 1
         one_error_line(capsys, prefix="usage error: ")
 
-    def test_invalid_window_exits_1(self, prepared, tmp_path):
-        _, data_dir = prepared
-        code = cli.main(train_args(data_dir, tmp_path / "x", window=99))
-        assert code == 1
+    # every setting outside its range is a usage error, whichever config
+    # object checks it: ModelConfig, TrainConfig, SplitSpec or the ingest
+    # step; non-finite and degenerate optimizer settings included, which
+    # would otherwise run until the loss diverged or train silently
+    @pytest.mark.parametrize("case", [
+        "train --window 99",
+        "train --epochs -1",
+        "train --batch-size 0",
+        "train --lr -1",
+        "train --lr nan",
+        "train --lr inf",
+        "train --beta1 1",
+        "train --beta1 -0.5",
+        "train --beta2 1",
+        "train --eps 0",
+        "train --eps inf",
+        "train --train-frac 1",
+        "train --val-frac 0.5",
+        "ingest --seq-len 0",
+        "ingest --min-freq 0",
+    ], ids=lambda case: case.replace(" ", "_"))
+    def test_setting_out_of_range_exits_1(self, prepared, tmp_path, capsys, case):
+        csv_path, data_dir = prepared
+        command, flag, value = case.split()
+        out = tmp_path / "out"
+        if command == "ingest":
+            argv = ["ingest", "--csv", str(csv_path), "--out-dir", str(out), flag, value]
+        else:
+            argv = train_args(data_dir, out, **{flag[2:]: value})
+        assert cli.main(argv) == 1
+        one_error_line(capsys, prefix="invalid configuration: ")
+        assert not out.exists()

@@ -9,6 +9,7 @@ from sentinet.corpus_io import (
     DegenerateSplit,
     EmptyFile,
     EmptyText,
+    InvalidConfig,
     LabeledCorpus,
     LabeledExample,
     MissingColumn,
@@ -212,11 +213,11 @@ class TestStratifiedSplit:
         assert len(train) == 2 and len(val) == 1 and len(test) == 1
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             SplitSpec(train_fraction=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             SplitSpec(train_fraction=0.9, val_fraction=0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             SplitSpec(train_fraction=0.5, val_fraction=-0.1)
 
 

@@ -100,18 +100,19 @@ class TestEmbedding:
         ids = np.array([[2, 5, 2, 0]])
         out, cache = layer.forward(ids)
         grads, _ = layer.backward(cache, np.ones_like(out))
+        d_table = np.asarray(grads["table"])
         touched = {int(i) for i in ids[0] if i != 0}
         for row in range(8):
             if row in touched:
-                assert np.any(grads["table"][row] != 0)
+                assert np.any(d_table[row] != 0)
             else:
-                npt.assert_array_equal(grads["table"][row], 0.0)
+                npt.assert_array_equal(d_table[row], 0.0)
 
     def test_pad_row_gets_zero_gradient(self):
         layer = EmbeddingLayer(Rng(5).uniform(-1, 1, (6, 3)))
         out, cache = layer.forward(np.array([[0, 0, 1]]))
         grads, _ = layer.backward(cache, np.ones_like(out))
-        npt.assert_array_equal(grads["table"][0], 0.0)
+        npt.assert_array_equal(np.asarray(grads["table"])[0], 0.0)
 
     def test_finite_difference(self):
         table = Rng(6).uniform(-0.7, 0.7, (7, 4))
@@ -124,6 +125,7 @@ class TestEmbedding:
             return float((layer.forward(ids)[0] * upstream).sum())
 
         grads, _ = layer.backward(layer.forward(ids)[1], upstream)
+        grads = {"table": np.asarray(grads["table"])}
         check_grads(loss, {"table": table}, grads, skip_rows={"table": 1})
 
 

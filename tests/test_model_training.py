@@ -314,6 +314,31 @@ class TestTrain:
         _, history = train(model, corpus, None, TrainConfig(epochs=0))
         assert len(history) == 0
 
+    # sha256 of the file save_model writes after this training with a dense
+    # V x k embedding gradient and the whole-tensor optimizers of oracles.py:
+    # the row-sparse gradient and in-place steps must give the same bytes
+    TRAINED_FILE_DIGESTS = {
+        ("cnn-lstm", "adam"): "a450897d424af3b059f5a0a4d413e4053cdff4e47d73b79a134eb31d3dd6bcec",
+        ("cnn-lstm", "sgd"): "616d42546e25d3d415c4a449775feca4cd9c93a3006af857ae4a9005cf2230eb",
+        ("cnn", "adam"): "80a279cad7f4d2f81a53b5167263ec448bb6d7779fe941a5e8815597e00fc6fc",
+        ("cnn", "sgd"): "2a86b9ae78eb4ae832756dadc93c094c4753527f8535b9dbb0610a06c8eab66d",
+    }
+
+    @pytest.mark.parametrize("variant, optimizer", TRAINED_FILE_DIGESTS)
+    def test_trained_file_bytes_are_pinned(self, tmp_path, toy_corpus, variant, optimizer):
+        corpus, vocab, pipeline = toy_corpus
+        config = ModelConfig(variant=variant, seq_len=corpus.n, embed_dim=4,
+                             window=3, filters=3, hidden=4)
+        model = build_model(config, vocab, Rng(21), pipeline)
+        # 4 batches of at most 8 per epoch: each batch touches a part of the table
+        cfg = TrainConfig(epochs=2, batch_size=8, learning_rate=0.05,
+                          optimizer=optimizer, seed=21)
+        train(model, corpus, corpus, cfg)
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.TRAINED_FILE_DIGESTS[variant, optimizer]
+
 
 class TestEvaluate:
     def test_uniform_model_scores_ln3_on_balanced_corpus(self, toy_corpus):

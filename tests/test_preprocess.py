@@ -5,7 +5,13 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
-from sentinet.corpus_io import CorruptFile, FormatVersionMismatch, read_container, write_container
+from sentinet.corpus_io import (
+    CorruptFile,
+    FormatVersionMismatch,
+    InvalidConfig,
+    read_container,
+    write_container,
+)
 from sentinet.preprocess import (
     CACHE_MAGIC,
     CACHE_VERSION,
@@ -175,7 +181,7 @@ class TestVocabulary:
         assert vocab.decode(UNK_ID) == Vocabulary.UNK_TOKEN
 
     def test_min_frequency_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             build_vocabulary([["a"]], min_frequency=0)
 
 
