@@ -18,7 +18,6 @@ from .corpus_io import (
     SplitSpec,
     class_histogram,
     load_corpus,
-    stratified_split,
 )
 from .layers import ConvLayer, DenseSoftmax, EmbeddingLayer, LstmLayer
 from .metrics import ConfusionMatrix3, confusion, macro_report
@@ -37,7 +36,6 @@ from .model_training import (
 from .preprocess import (
     PipelineConfig,
     StopWordList,
-    TokenSequence,
     Vocabulary,
     build_vocabulary,
     default_stop_words,
@@ -55,7 +53,6 @@ __all__ = [
     "SplitSpec",
     "class_histogram",
     "load_corpus",
-    "stratified_split",
     "ConvLayer",
     "DenseSoftmax",
     "EmbeddingLayer",
@@ -75,7 +72,6 @@ __all__ = [
     "train",
     "PipelineConfig",
     "StopWordList",
-    "TokenSequence",
     "Vocabulary",
     "build_vocabulary",
     "default_stop_words",

@@ -11,8 +11,11 @@ Subcommands wire the library into the usual offline workflow:
 The prepared corpus directory ``ingest`` writes holds ``encoded.bin`` (the
 corpus cache), ``vocab.json``, ``meta.json`` and ``histogram.csv``.
 
-Settings may come from an INI config file (sections [data], [model],
-[train], [split]); command-line flags override the file.  There is no
+Settings may come from an INI config file (sections such as [data],
+[model], [train], [split] only group keys); command-line flags override
+the file.  A key is a flag's name without ``--``, with ``-`` or ``_``
+between words (``lr``, ``batch_size``); a key that no command takes is a
+usage error.  ``SETTINGS`` declares each setting once.  There is no
 interactive mode and no wall-clock seeding: identical inputs, flags and
 seeds reproduce identical outputs byte for byte.
 
@@ -28,6 +31,7 @@ import configparser
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from . import corpus_io, metrics
 from .corpus_io import CorpusError, InvalidConfig, SplitSpec
@@ -71,8 +75,62 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class Setting(NamedTuple):
+    """Config key ``key`` and flag ``--key`` (``-`` for ``_``) of the
+    ``commands`` that take it.  It sets ``field`` (default: ``key``) of
+    dataclass ``owner`` and defaults to that field's default; without an
+    owner it defaults to ``default``.  Values parse as the default's type
+    (``str`` for None); a bool setting is a flag without a value."""
+
+    key: str
+    commands: tuple[str, ...]
+    help: str
+    owner: type | None = None
+    field: str | None = None
+    default: object = None
+
+    @property
+    def default_value(self):
+        return getattr(self.owner, self.field or self.key) if self.owner else self.default
+
+    @property
+    def kind(self) -> type:
+        return str if self.default_value is None else type(self.default_value)
+
+
+SETTINGS = (
+    Setting("text_column", ("ingest", "evaluate"), "text column name", default="text"),
+    Setting("label_column", ("ingest", "evaluate"), "label column name", default="label"),
+    Setting("stopwords", ("ingest",), "stop-word file (default: packaged list)"),
+    Setting("seq_len", ("ingest",), "padded sequence length", default=ModelConfig.seq_len),
+    Setting("min_freq", ("ingest",), "vocabulary frequency cutoff", default=1),
+    Setting("drop_hashtag_words", ("ingest",),
+            "remove whole hashtag tokens instead of only the # marker", default=False),
+    Setting("dedupe", ("ingest",), "drop rows whose exact text appeared earlier", default=False),
+    Setting("variant", ("train",), f"model variant: {', '.join(VARIANTS)}", ModelConfig),
+    Setting("embed_dim", ("train",), "word-vector dimension", ModelConfig),
+    Setting("window", ("train",), "convolution window width", ModelConfig),
+    Setting("filters", ("train",), "convolution filter count", ModelConfig),
+    Setting("hidden", ("train",), "LSTM hidden size", ModelConfig),
+    Setting("activation", ("train",), "tanh or sigmoid", ModelConfig),
+    Setting("epochs", ("train",), "training epochs, 0 = init only", TrainConfig),
+    Setting("batch_size", ("train",), "mini-batch size", TrainConfig),
+    Setting("lr", ("train",), "learning rate", TrainConfig, "learning_rate"),
+    Setting("optimizer", ("train",), "adam or sgd", TrainConfig),
+    Setting("beta1", ("train",), "Adam beta1", TrainConfig),
+    Setting("beta2", ("train",), "Adam beta2", TrainConfig),
+    Setting("eps", ("train",), "Adam epsilon", TrainConfig, "epsilon"),
+    Setting("seed", ("train",), "init + shuffle seed", TrainConfig),
+    Setting("no_shuffle", ("train",), "keep corpus order each epoch", default=False),
+    Setting("train_frac", ("train", "evaluate"), "train fraction", SplitSpec, "train_fraction"),
+    Setting("val_frac", ("train", "evaluate"), "validation fraction", SplitSpec, "val_fraction"),
+    Setting("split_seed", ("train", "evaluate"), "stratified split seed", SplitSpec, "seed"),
+)
+
+
 def _load_config(path: str | None) -> dict[str, str]:
-    """Flatten an INI file into {key: raw string}; sections only group keys."""
+    """Flatten an INI file into {key: raw string}; sections only group keys.
+    A key no command takes is a usage error."""
     if path is None:
         return {}
     parser = configparser.ConfigParser()
@@ -85,63 +143,37 @@ def _load_config(path: str | None) -> dict[str, str]:
     for section in parser.sections():
         for key, value in parser.items(section):
             flat[key.replace("-", "_")] = value
+    unknown = sorted(flat.keys() - {s.key for s in SETTINGS})
+    if unknown:
+        raise _UsageError(f"config key {unknown[0]} is not a setting of any command")
     return flat
 
 
-def _resolve(args, config: dict[str, str], key: str, default, kind=str):
-    """Flag value if given, else config-file value, else the default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in config:
-        raw = config[key]
-        try:
-            if kind is bool:  # the INI format's words: 1/0, yes/no, true/false, on/off
-                return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
-            return kind(raw)
-        except (KeyError, ValueError):
-            raise _UsageError(f"config key {key}: bad value {raw!r}") from None
-    return default
+def _resolve(args, config: dict[str, str]) -> dict[str, object]:
+    """{key: value} of each setting ``args.command`` takes: the flag if
+    given, else the config-file value, else the default."""
+    values = {}
+    for s in SETTINGS:
+        if args.command not in s.commands:
+            continue
+        value = getattr(args, s.key)
+        if value is None and s.key in config:
+            raw = config[s.key]
+            try:
+                if s.kind is bool:  # the INI words: 1/0, yes/no, true/false, on/off
+                    value = configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+                else:
+                    value = s.kind(raw)
+            except (KeyError, ValueError):
+                raise _UsageError(f"config key {s.key}: bad value {raw!r}") from None
+        values[s.key] = s.default_value if value is None else value
+    return values
 
 
-# flag / config key -> the dataclass field it sets, where the names differ
-_FIELD_OF = {
-    "lr": "learning_rate",
-    "eps": "epsilon",
-    "train_frac": "train_fraction",
-    "val_frac": "val_fraction",
-    "split_seed": "seed",
-}
-
-
-def _settings(args, config: dict[str, str], cls, keys) -> dict:
-    """{field: value} for each of ``keys`` that a flag or the config file
-    sets, parsed as the type of the field's default in dataclass ``cls``;
-    a field left out keeps that default."""
-    settings = {}
-    for key in keys:
-        name = _FIELD_OF.get(key, key)
-        value = _resolve(args, config, key, None, type(getattr(cls, name)))
-        if value is not None:
-            settings[name] = value
-    return settings
-
-
-def _split_spec(args, config: dict[str, str]) -> SplitSpec:
-    keys = ("train_frac", "val_frac", "split_seed")
-    return SplitSpec(**_settings(args, config, SplitSpec, keys))
-
-
-def _add_split_flags(parser) -> None:
-    parser.add_argument(
-        "--train-frac", type=float, help=f"train fraction (default {SplitSpec.train_fraction})"
-    )
-    parser.add_argument(
-        "--val-frac", type=float, help=f"validation fraction (default {SplitSpec.val_fraction})"
-    )
-    parser.add_argument(
-        "--split-seed", type=int, help=f"stratified split seed (default {SplitSpec.seed})"
-    )
+def _config_of(owner: type, values: dict[str, object], **extra):
+    """Dataclass ``owner`` built from the resolved settings it owns."""
+    fields = {s.field or s.key: values[s.key] for s in SETTINGS if s.owner is owner}
+    return owner(**fields, **extra)
 
 
 def build_parser() -> _Parser:
@@ -151,69 +183,23 @@ def build_parser() -> _Parser:
     ingest = sub.add_parser("ingest", help="clean, encode, and cache a labeled CSV")
     ingest.add_argument("--csv", required=True, help="input CSV with text and label columns")
     ingest.add_argument("--out-dir", required=True, help="directory for the prepared corpus")
-    ingest.add_argument("--config", help="INI config file")
-    ingest.add_argument("--text-column", help="text column name (default text)")
-    ingest.add_argument("--label-column", help="label column name (default label)")
-    ingest.add_argument("--stopwords", help="stop-word file (default: packaged list)")
-    ingest.add_argument(
-        "--seq-len", type=int, help=f"padded sequence length (default {ModelConfig.seq_len})"
-    )
-    ingest.add_argument("--min-freq", type=int, help="vocabulary frequency cutoff (default 1)")
-    ingest.add_argument(
-        "--drop-hashtag-words",
-        action="store_true",
-        default=None,
-        help="remove whole hashtag tokens instead of only the # marker",
-    )
-    ingest.add_argument(
-        "--dedupe",
-        action="store_true",
-        default=None,
-        help="drop rows whose exact text appeared earlier",
-    )
 
     tr = sub.add_parser("train", help="train a model on a prepared corpus")
     tr.add_argument("--data", required=True, help="directory written by ingest")
     tr.add_argument("--out-dir", required=True, help="directory for model.bin and history.csv")
-    tr.add_argument("--config", help="INI config file")
-    tr.add_argument("--variant", choices=VARIANTS)
-    m, t = ModelConfig, TrainConfig
-    tr.add_argument("--embed-dim", type=int, help=f"word-vector dimension (default {m.embed_dim})")
-    tr.add_argument("--window", type=int, help=f"convolution window width (default {m.window})")
-    tr.add_argument("--filters", type=int, help=f"convolution filter count (default {m.filters})")
-    tr.add_argument("--hidden", type=int, help=f"LSTM hidden size (default {m.hidden})")
-    tr.add_argument("--activation", choices=("tanh", "sigmoid"))
-    tr.add_argument(
-        "--epochs", type=int, help=f"training epochs (default {t.epochs}; 0 = init only)"
-    )
-    tr.add_argument("--batch-size", type=int, help=f"mini-batch size (default {t.batch_size})")
-    tr.add_argument("--lr", type=float, help=f"learning rate (default {t.learning_rate})")
-    tr.add_argument("--optimizer", choices=("adam", "sgd"))
-    tr.add_argument("--beta1", type=float, help=f"Adam beta1 (default {t.beta1})")
-    tr.add_argument("--beta2", type=float, help=f"Adam beta2 (default {t.beta2})")
-    tr.add_argument("--eps", type=float, help=f"Adam epsilon (default {t.epsilon})")
-    tr.add_argument("--seed", type=int, help=f"init + shuffle seed (default {t.seed})")
-    tr.add_argument(
-        "--no-shuffle", action="store_true", default=None, help="keep corpus order each epoch"
-    )
-    _add_split_flags(tr)
 
     ev = sub.add_parser("evaluate", help="score a model and export metric CSVs")
     ev.add_argument("--model", required=True, help="model file from train")
     ev.add_argument("--out-dir", required=True, help="directory for report.csv and confusion.csv")
-    ev.add_argument("--config", help="INI config file")
     src = ev.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="prepared corpus directory")
     src.add_argument("--csv", help="raw labeled CSV (preprocessed with the model's pipeline)")
-    ev.add_argument("--text-column", help="text column name (default text)")
-    ev.add_argument("--label-column", help="label column name (default label)")
     ev.add_argument(
         "--split",
         choices=("all", "train", "val", "test"),
         default="all",
         help="score only one partition of the deterministic split",
     )
-    _add_split_flags(ev)
 
     pr = sub.add_parser("predict", help="classify raw text lines")
     pr.add_argument("--model", required=True, help="model file from train")
@@ -224,26 +210,38 @@ def build_parser() -> _Parser:
     hx.add_argument("--model", required=True, help="model file from train")
     hx.add_argument("--out", required=True, help="output CSV path")
 
+    for command, sp in sub.choices.items():
+        settings = [s for s in SETTINGS if command in s.commands]
+        if settings:
+            sp.add_argument("--config", help="INI config file")
+        for s in settings:
+            flag = "--" + s.key.replace("_", "-")
+            if s.kind is bool:
+                sp.add_argument(flag, action="store_true", default=None, help=s.help)
+            else:
+                shown = "" if s.default_value is None else f" (default {s.default_value})"
+                sp.add_argument(flag, type=s.kind, help=s.help + shown)
     return parser
 
 
-def cmd_ingest(args, config) -> int:
-    text_column = _resolve(args, config, "text_column", "text")
-    label_column = _resolve(args, config, "label_column", "label")
-    seq_len = _resolve(args, config, "seq_len", ModelConfig.seq_len, int)
-    min_freq = _resolve(args, config, "min_freq", 1, int)
-    drop_tags = bool(_resolve(args, config, "drop_hashtag_words", False, bool))
-    dedupe = bool(_resolve(args, config, "dedupe", False, bool))
-    stop_path = _resolve(args, config, "stopwords", None)
-    stops = load_stop_words(stop_path) if stop_path else default_stop_words()
-
-    corpus = corpus_io.load_corpus(args.csv, text_column, label_column)
-    if dedupe:
+def _encode_csv(path, values, pipeline: PipelineConfig, seq_len: int, vocab=None):
+    """(EncodedCorpus, vocabulary) of a labeled CSV read with the resolved
+    column settings, deduplicated if ``pipeline`` says so and tokenized by
+    it; the vocabulary is built from the corpus when ``vocab`` is None."""
+    corpus = corpus_io.load_corpus(path, values["text_column"], values["label_column"])
+    if pipeline.dedupe:
         corpus = corpus_io.deduplicate(corpus)
-    pipeline = PipelineConfig(stops, drop_tags, dedupe)
     token_lists = [pipeline.tokens(ex.text) for ex in corpus.examples]
-    vocab = build_vocabulary(token_lists, min_freq)
-    encoded = encode_corpus(token_lists, corpus.labels(), vocab, seq_len)
+    if vocab is None:
+        vocab = build_vocabulary(token_lists, values["min_freq"])
+    return encode_corpus(token_lists, corpus.labels(), vocab, seq_len), vocab
+
+
+def cmd_ingest(args, values) -> int:
+    stop_path = values["stopwords"]
+    stops = load_stop_words(stop_path) if stop_path else default_stop_words()
+    pipeline = PipelineConfig(stops, values["drop_hashtag_words"], values["dedupe"])
+    encoded, vocab = _encode_csv(args.csv, values, pipeline, values["seq_len"])
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -252,18 +250,18 @@ def cmd_ingest(args, config) -> int:
         json.dumps(vocab.to_json(), sort_keys=True), encoding="utf-8"
     )
     meta = {
-        "seq_len": seq_len,
+        "seq_len": values["seq_len"],
         **pipeline.to_json(),
-        "text_column": text_column,
-        "label_column": label_column,
+        "text_column": values["text_column"],
+        "label_column": values["label_column"],
         "source_csv": str(args.csv),
     }
     (out / "meta.json").write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
-    histogram = corpus_io.class_histogram(corpus)
+    histogram = corpus_io.class_histogram(encoded.labels)
     (out / "histogram.csv").write_text(
         corpus_io.histogram_to_csv(histogram), encoding="utf-8"
     )
-    print(f"ingested {len(corpus)} examples, vocabulary size {len(vocab)}")
+    print(f"ingested {len(encoded)} examples, vocabulary size {len(vocab)}")
     print(f"class counts (-1, 0, 1): {histogram}")
     return 0
 
@@ -286,20 +284,11 @@ def _read_prepared(data_dir) -> tuple[EncodedCorpus, Vocabulary, PipelineConfig]
     return encoded, vocab, pipeline
 
 
-def cmd_train(args, config) -> int:
+def cmd_train(args, values) -> int:
     encoded, vocab, pipeline = _read_prepared(args.data)
-
-    model_keys = ("variant", "embed_dim", "window", "filters", "hidden", "activation")
-    model_config = ModelConfig(
-        seq_len=encoded.n, **_settings(args, config, ModelConfig, model_keys)
-    )
-    train_keys = ("epochs", "batch_size", "lr", "optimizer", "beta1", "beta2", "eps", "seed")
-    no_shuffle = bool(_resolve(args, config, "no_shuffle", False, bool))
-    train_config = TrainConfig(
-        shuffle=not no_shuffle, **_settings(args, config, TrainConfig, train_keys)
-    )
-
-    split = _split_spec(args, config)
+    model_config = _config_of(ModelConfig, values, seq_len=encoded.n)
+    train_config = _config_of(TrainConfig, values, shuffle=not values["no_shuffle"])
+    split = _config_of(SplitSpec, values)
     train_idx, val_idx, _ = corpus_io.stratified_indices(encoded.labels, split)
     train_part = encoded.subset(train_idx)
     val_part = encoded.subset(val_idx) if val_idx else None
@@ -316,7 +305,7 @@ def cmd_train(args, config) -> int:
     return 0
 
 
-def _encoded_for_evaluate(args, model: Model) -> EncodedCorpus:
+def _encoded_for_evaluate(args, values, model: Model) -> EncodedCorpus:
     if args.data is not None:
         encoded, vocab, _ = _read_prepared(args.data)
         if vocab.tokens() != model.vocab.tokens():
@@ -330,22 +319,14 @@ def _encoded_for_evaluate(args, model: Model) -> EncodedCorpus:
         return encoded
     if model.pipeline is None:
         raise CorpusError("model lacks pipeline settings; evaluate with --data")
-    corpus = corpus_io.load_corpus(
-        args.csv,
-        args.text_column or "text",
-        args.label_column or "label",
-    )
-    if model.pipeline.dedupe:
-        corpus = corpus_io.deduplicate(corpus)
-    token_lists = [model.pipeline.tokens(ex.text) for ex in corpus.examples]
-    return encode_corpus(token_lists, corpus.labels(), model.vocab, model.config.seq_len)
+    return _encode_csv(args.csv, values, model.pipeline, model.config.seq_len, model.vocab)[0]
 
 
-def cmd_evaluate(args, config) -> int:
+def cmd_evaluate(args, values) -> int:
     model = load_model(args.model)
-    encoded = _encoded_for_evaluate(args, model)
+    encoded = _encoded_for_evaluate(args, values, model)
     if args.split != "all":
-        split = _split_spec(args, config)
+        split = _config_of(SplitSpec, values)
         parts = dict(
             zip(("train", "val", "test"), corpus_io.stratified_indices(encoded.labels, split))
         )
@@ -364,7 +345,7 @@ def cmd_evaluate(args, config) -> int:
     return 0
 
 
-def cmd_predict(args, config) -> int:
+def cmd_predict(args, values) -> int:
     model = load_model(args.model)
     texts = list(args.texts)
     if args.stdin:
@@ -376,7 +357,7 @@ def cmd_predict(args, config) -> int:
     return 0
 
 
-def cmd_history_export(args, config) -> int:
+def cmd_history_export(args, values) -> int:
     model = load_model(args.model)
     Path(args.out).write_text(model.history.to_csv(), encoding="utf-8")
     print(f"wrote {len(model.history)} epoch records to {args.out}")
@@ -396,8 +377,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(getattr(args, "config", None))
-        return COMMANDS[args.command](args, config)
+        values = _resolve(args, _load_config(getattr(args, "config", None)))
+        return COMMANDS[args.command](args, values)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

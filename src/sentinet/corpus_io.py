@@ -26,6 +26,8 @@ import random
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 NEGATIVE, NEUTRAL, POSITIVE = 0, 1, 2
 CLASS_NAMES = ("-1", "0", "1")
 
@@ -184,12 +186,14 @@ def deduplicate(corpus: LabeledCorpus) -> LabeledCorpus:
 
 
 def class_histogram(corpus) -> tuple[int, int, int]:
-    """Counts per class in (negative, neutral, positive) order."""
-    counts = [0, 0, 0]
+    """Counts per class in (negative, neutral, positive) order, of a corpus
+    or a sequence of labels; IndexError for a label outside 0, 1, 2."""
     labels = corpus.labels() if isinstance(corpus, LabeledCorpus) else corpus
-    for label in labels:
-        counts[int(label)] += 1
-    return tuple(counts)
+    labels = np.asarray(labels, dtype=np.int64)
+    outside = labels[(labels < 0) | (labels > 2)]
+    if outside.size:
+        raise IndexError(f"label {outside[0]} outside 0, 1, 2")
+    return tuple(int(c) for c in np.bincount(labels, minlength=3))
 
 
 def _allocate(n: int, fractions: tuple[float, float, float]) -> list[int]:
@@ -234,18 +238,6 @@ def stratified_indices(labels, spec: SplitSpec):
             parts[part].extend(idx[start : start + count])
             start += count
     return tuple(sorted(p) for p in parts)
-
-
-def stratified_split(corpus: LabeledCorpus, spec: SplitSpec):
-    """Partition a corpus into (train, val, test) LabeledCorpus values."""
-    train_idx, val_idx, test_idx = stratified_indices(corpus.labels(), spec)
-
-    def pick(indices):
-        return LabeledCorpus(
-            tuple(corpus.examples[i] for i in indices), corpus.source_path
-        )
-
-    return pick(train_idx), pick(val_idx), pick(test_idx)
 
 
 def histogram_to_csv(histogram: tuple[int, int, int]) -> str:

@@ -56,18 +56,18 @@ class BinaryCounts:
 
 
 def confusion(predictions, actuals) -> ConfusionMatrix3:
-    """Count (predicted, actual) pairs into a ConfusionMatrix3."""
-    predictions = list(predictions)
-    actuals = list(actuals)
+    """Count (predicted, actual) pairs of two label sequences into a ConfusionMatrix3."""
+    predictions = np.asarray(predictions, dtype=np.int64)
+    actuals = np.asarray(actuals, dtype=np.int64)
     if len(predictions) != len(actuals):
         raise LengthMismatch(
             f"{len(predictions)} predictions vs {len(actuals)} actuals"
         )
-    counts = np.zeros((3, 3), dtype=np.int64)
-    for p, a in zip(predictions, actuals):
-        if not (0 <= p <= 2 and 0 <= a <= 2):
-            raise LabelOutOfRange(f"labels must be 0, 1 or 2: got ({p}, {a})")
-        counts[p][a] += 1
+    bad = (predictions < 0) | (predictions > 2) | (actuals < 0) | (actuals > 2)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise LabelOutOfRange(f"labels must be 0, 1 or 2: got ({predictions[i]}, {actuals[i]})")
+    counts = np.bincount(3 * predictions + actuals, minlength=9).reshape(3, 3)
     counts.setflags(write=False)
     return ConfusionMatrix3(counts)
 

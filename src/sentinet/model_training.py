@@ -485,8 +485,8 @@ def predict_text(model: Model, raw: str) -> tuple[int, np.ndarray]:
     if model.pipeline is None:
         raise ValueError("model carries no preprocessing pipeline settings")
     tokens = model.pipeline.tokens(raw)
-    seq = encode_and_pad(tokens, model.vocab, model.config.seq_len)
-    probs = model.forward(seq.ids[None])[0]
+    ids = encode_and_pad(tokens, model.vocab, model.config.seq_len)
+    probs = model.forward(ids[None])[0]
     return int(np.argmax(probs)), probs
 
 

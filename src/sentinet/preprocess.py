@@ -60,25 +60,15 @@ class StopWordList:
 
 def load_stop_words(path) -> StopWordList:
     """Read a stop-word file: one word per line, '#' lines are comments."""
-    words = set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            words.add(line.lower())
-    return StopWordList(frozenset(words))
+        lines = [line.strip() for line in fh]
+    return StopWordList(frozenset(w.lower() for w in lines if w and not w.startswith("#")))
 
 
 def default_stop_words() -> StopWordList:
     """The packaged English list (~175 entries)."""
-    text = resources.files("sentinet").joinpath("data/stopwords.txt").read_text("utf-8")
-    words = {
-        line.strip().lower()
-        for line in text.splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    }
-    return StopWordList(frozenset(words))
+    with resources.as_file(resources.files("sentinet") / "data/stopwords.txt") as path:
+        return load_stop_words(path)
 
 
 def remove_urls(text: str) -> str:
@@ -223,27 +213,16 @@ def build_vocabulary(token_lists, min_frequency: int = 1) -> Vocabulary:
     return Vocabulary(kept, min_frequency)
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    """Fixed-length id sequence; positions >= true_length hold the pad id."""
-
-    ids: np.ndarray
-    true_length: int
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
-def encode_and_pad(tokens: list[str], vocab: Vocabulary, n: int) -> TokenSequence:
-    """Map tokens to ids, truncate past ``n``, and zero-pad up to ``n``."""
+def encode_and_pad(tokens: list[str], vocab: Vocabulary, n: int) -> np.ndarray:
+    """Map tokens to ids, truncate past ``n``, and zero-pad up to ``n``; the
+    read-only id array."""
     if n < 1:
         raise InvalidConfig(f"sequence length must be >= 1, got {n}")
     ids = np.full(n, PAD_ID, dtype=np.int64)
-    kept = tokens[:n]
-    for i, tok in enumerate(kept):
+    for i, tok in enumerate(tokens[:n]):
         ids[i] = vocab.encode(tok)
     ids.setflags(write=False)
-    return TokenSequence(ids=ids, true_length=len(kept))
+    return ids
 
 
 @dataclass(frozen=True)
@@ -273,7 +252,7 @@ def encode_corpus(token_lists, labels, vocab: Vocabulary, n: int) -> EncodedCorp
     """Encode a whole corpus into an EncodedCorpus of fixed length ``n``."""
     token_lists = list(token_lists)
     if token_lists:
-        seqs = np.stack([encode_and_pad(t, vocab, n).ids for t in token_lists])
+        seqs = np.stack([encode_and_pad(t, vocab, n) for t in token_lists])
     else:
         seqs = np.empty((0, n), dtype=np.int64)
     return EncodedCorpus(seqs, np.asarray(labels, dtype=np.int64))

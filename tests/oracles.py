@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from sentinet.metrics import LabelOutOfRange, LengthMismatch
 from sentinet.preprocess import PAD_ID
 
 
@@ -121,3 +122,20 @@ def dense_adam_step(params: dict, grads: dict, state, cfg) -> None:
         m_hat = m / (1.0 - cfg.beta1**t)
         v_hat = v / (1.0 - cfg.beta2**t)
         params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+
+
+def loop_confusion(predictions, actuals) -> np.ndarray:
+    """The 3x3 (predicted, actual) counts, one pair at a time, raising what
+    ``metrics.confusion`` raises: the reference for its vectorized count."""
+    predictions = list(predictions)
+    actuals = list(actuals)
+    if len(predictions) != len(actuals):
+        raise LengthMismatch(
+            f"{len(predictions)} predictions vs {len(actuals)} actuals"
+        )
+    counts = np.zeros((3, 3), dtype=np.int64)
+    for p, a in zip(predictions, actuals):
+        if not (0 <= p <= 2 and 0 <= a <= 2):
+            raise LabelOutOfRange(f"labels must be 0, 1 or 2: got ({p}, {a})")
+        counts[p][a] += 1
+    return counts

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -15,12 +16,12 @@ from conftest import make_toy_texts
 from test_model_training import rewrite_header
 
 
-def write_toy_csv(path: Path, per_class: int = 10) -> Path:
+def write_toy_csv(path: Path, per_class: int = 10, header=("text", "label")) -> Path:
     texts, labels = make_toy_texts(per_class)
     external = {0: "-1", 1: "0", 2: "1"}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["text", "label"])
+        writer.writerow(header)
         for text, label in zip(texts, labels):
             writer.writerow([text, external[label]])
     return path
@@ -252,6 +253,20 @@ class TestEvaluate:
         assert (via_cache / "report.csv").read_bytes() == (via_csv / "report.csv").read_bytes()
         assert (via_cache / "confusion.csv").read_bytes() == (via_csv / "confusion.csv").read_bytes()
 
+    def test_csv_columns_from_config_equal_flag_route(self, trained, tmp_path):
+        renamed = write_toy_csv(tmp_path / "renamed.csv", header=("tweet", "sent"))
+        ini = tmp_path / "columns.ini"
+        ini.write_text("[data]\ntext_column = tweet\nlabel_column = sent\n", encoding="utf-8")
+        base = ["evaluate", "--model", str(trained), "--csv", str(renamed)]
+        via_config, via_flags = tmp_path / "via_config", tmp_path / "via_flags"
+        assert cli.main([*base, "--config", str(ini), "--out-dir", str(via_config)]) == 0
+        assert cli.main(
+            [*base, "--text-column", "tweet", "--label-column", "sent",
+             "--out-dir", str(via_flags)]
+        ) == 0
+        for name in ("report.csv", "confusion.csv"):
+            assert (via_config / name).read_bytes() == (via_flags / name).read_bytes()
+
     def test_confusion_csv_shape(self, prepared, trained, tmp_path):
         _, data_dir = prepared
         reports = tmp_path / "cmdir"
@@ -447,6 +462,18 @@ class TestUsageErrors:
         assert code == 1
         one_error_line(capsys, prefix="usage error: ")
 
+    @pytest.mark.parametrize("key", ["epoch = 1", "batchsize = 4", "learning_rate = 0.5"])
+    def test_unknown_config_key_exits_1(self, prepared, tmp_path, capsys, key):
+        """A misspelt key, or a dataclass field name in place of its key,
+        is rejected before any work, not ignored."""
+        _, data_dir = prepared
+        ini = tmp_path / "typo.ini"
+        ini.write_text(f"[train]\n{key}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(train_args(data_dir, out, config=ini)) == 1
+        assert key.split()[0] in one_error_line(capsys, prefix="usage error: ")
+        assert not out.exists()
+
     # every setting outside its range is a usage error, whichever config
     # object checks it: ModelConfig, TrainConfig, SplitSpec or the ingest
     # step; non-finite and degenerate optimizer settings included, which
@@ -465,6 +492,9 @@ class TestUsageErrors:
         "train --eps inf",
         "train --train-frac 1",
         "train --val-frac 0.5",
+        "train --variant bogus",
+        "train --activation relu",
+        "train --optimizer rmsprop",
         "ingest --seq-len 0",
         "ingest --min-freq 0",
     ], ids=lambda case: case.replace(" ", "_"))
@@ -479,3 +509,72 @@ class TestUsageErrors:
         assert cli.main(argv) == 1
         one_error_line(capsys, prefix="invalid configuration: ")
         assert not out.exists()
+
+
+# each subcommand's option strings, as the parser declared them flag by flag
+OPTION_STRINGS = {
+    "ingest": {"--config", "--csv", "--dedupe", "--drop-hashtag-words", "--help",
+               "--label-column", "--min-freq", "--out-dir", "--seq-len", "--stopwords",
+               "--text-column", "-h"},
+    "train": {"--activation", "--batch-size", "--beta1", "--beta2", "--config", "--data",
+              "--embed-dim", "--epochs", "--eps", "--filters", "--help", "--hidden", "--lr",
+              "--no-shuffle", "--optimizer", "--out-dir", "--seed", "--split-seed",
+              "--train-frac", "--val-frac", "--variant", "--window", "-h"},
+    "evaluate": {"--config", "--csv", "--data", "--help", "--label-column", "--model",
+                 "--out-dir", "--split", "--split-seed", "--text-column", "--train-frac",
+                 "--val-frac", "-h"},
+    "predict": {"--help", "--model", "--stdin", "-h"},
+    "history-export": {"--help", "--model", "--out", "-h"},
+}
+
+# a value other than the default for every setting, as the flag writes it
+NON_DEFAULT = {
+    "text_column": "tweet", "label_column": "sent", "stopwords": "stops.txt",
+    "seq_len": "12", "min_freq": "2", "drop_hashtag_words": None, "dedupe": None,
+    "variant": "cnn", "embed_dim": "6", "window": "2", "filters": "4", "hidden": "5",
+    "activation": "sigmoid", "epochs": "3", "batch_size": "8", "lr": "0.01",
+    "optimizer": "sgd", "beta1": "0.8", "beta2": "0.99", "eps": "1e-06", "seed": "7",
+    "no_shuffle": None, "train_frac": "0.7", "val_frac": "0.15", "split_seed": "3",
+}
+REQUIRED = {
+    "ingest": ["--csv", "c.csv", "--out-dir", "o"],
+    "train": ["--data", "d", "--out-dir", "o"],
+    "evaluate": ["--model", "m.bin", "--data", "d", "--out-dir", "o"],
+}
+
+
+class TestSettings:
+    def test_option_strings_per_subcommand(self):
+        sub = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        found = {
+            name: {s for a in parser._actions for s in a.option_strings}
+            for name, parser in sub.choices.items()
+        }
+        assert found == OPTION_STRINGS
+
+    def test_every_setting_has_a_case(self):
+        assert {s.key for s in cli.SETTINGS} == NON_DEFAULT.keys()
+
+    @pytest.mark.parametrize("setting", cli.SETTINGS, ids=lambda s: s.key)
+    def test_config_key_equals_flag(self, setting, tmp_path):
+        """The flag and the config key (dashed, as the flag is spelt) give
+        the same value, and it reaches the dataclass field it sets."""
+        raw = NON_DEFAULT[setting.key]
+        name = setting.key.replace("_", "-")
+        ini = tmp_path / "one.ini"
+        ini.write_text(f"[any]\n{name} = {'yes' if raw is None else raw}\n", encoding="utf-8")
+        parser = cli.build_parser()
+        for command in setting.commands:
+            flag = [f"--{name}"] if raw is None else [f"--{name}", raw]
+            by_flag = cli._resolve(parser.parse_args([command, *REQUIRED[command], *flag]), {})
+            by_key = cli._resolve(
+                parser.parse_args([command, *REQUIRED[command]]), cli._load_config(str(ini))
+            )
+            assert by_flag == by_key
+            value = by_key[setting.key]
+            assert value != setting.default_value and type(value) is setting.kind
+            if setting.owner is not None:
+                built = cli._config_of(setting.owner, by_key)
+                assert getattr(built, setting.field or setting.key) == value

@@ -1,6 +1,10 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from sentinet.corpus_io import LabeledCorpus, LabeledExample, class_histogram
 from sentinet.metrics import (
     BinaryCounts,
     ConfusionMatrix3,
@@ -17,6 +21,8 @@ from sentinet.metrics import (
     recall,
     report_to_csv,
 )
+
+from oracles import loop_confusion
 
 
 def cm_from(array) -> ConfusionMatrix3:
@@ -37,11 +43,43 @@ class TestConfusion:
         rng = np.random.default_rng(17)
         preds = rng.integers(0, 3, size=1000)
         actuals = rng.integers(0, 3, size=1000)
-        cm = confusion(preds, actuals)
-        naive = np.zeros((3, 3), dtype=np.int64)
-        for p, a in zip(preds, actuals):
-            naive[p][a] += 1
-        assert np.array_equal(cm.counts, naive)
+        assert np.array_equal(confusion(preds, actuals).counts, loop_confusion(preds, actuals))
+
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), max_size=200),
+        bad=st.one_of(st.none(), st.tuples(st.integers(-3, 5), st.integers(-3, 5))),
+        where=st.integers(0, 200),
+        drop=st.sampled_from((0, 0, 0, 1)),
+    )
+    def test_same_counts_and_errors_as_the_loop(self, pairs, bad, where, drop):
+        """Equal counts on in-range pairs; an out-of-range pair anywhere, or
+        lists of different lengths, raise what the loop raises."""
+        if bad is not None:
+            pairs.insert(min(where, len(pairs)), bad)
+        preds = [p for p, _ in pairs]
+        actuals = [a for _, a in pairs][drop:]
+        try:
+            expected = loop_confusion(preds, actuals)
+        except (LabelOutOfRange, LengthMismatch) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                confusion(np.asarray(preds, dtype=np.int64), actuals)
+        else:
+            counts = confusion(np.asarray(preds, dtype=np.int64), actuals).counts
+            assert np.array_equal(counts, expected) and not counts.flags.writeable
+
+    @given(st.lists(st.integers(0, 2), max_size=100))
+    def test_class_histogram_of_a_corpus_equals_that_of_its_labels(self, labels):
+        corpus = LabeledCorpus(
+            tuple(LabeledExample(f"t{i}", label) for i, label in enumerate(labels)), "mem"
+        )
+        expected = tuple(int(n) for n in loop_confusion(labels, labels).diagonal())
+        assert class_histogram(corpus) == class_histogram(labels) == expected
+        assert class_histogram(np.asarray(labels)) == expected
+
+    @pytest.mark.parametrize("labels", [[0, 3], [-1, 1]])
+    def test_class_histogram_label_out_of_range(self, labels):
+        with pytest.raises(IndexError):
+            class_histogram(labels)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

@@ -1,4 +1,5 @@
 import string
+from importlib import resources
 
 import numpy as np
 import numpy.testing as npt
@@ -144,6 +145,18 @@ class TestStopWordList:
         stops = load_stop_words(path)
         assert stops.words == frozenset({"the", "and", "of"})
 
+    def test_blank_comment_and_mixed_case_lines(self, tmp_path):
+        path = tmp_path / "stops.txt"
+        path.write_text(
+            "\n   \n# top\n   # indented\n\t#tabbed\nIt\nSHOULD\n  mIxEd \n", encoding="utf-8"
+        )
+        assert load_stop_words(path).words == frozenset({"it", "should", "mixed"})
+
+    def test_packaged_file_loads_as_the_default_list(self):
+        packaged = resources.files("sentinet") / "data/stopwords.txt"
+        with resources.as_file(packaged) as path:
+            assert load_stop_words(path) == default_stop_words()
+
     def test_default_list_is_nonempty_lowercase(self):
         stops = default_stop_words()
         assert len(stops) > 100
@@ -185,38 +198,44 @@ class TestVocabulary:
             build_vocabulary([["a"]], min_frequency=0)
 
 
+def true_length(ids) -> int:
+    """Tokens kept before the padding: ``Vocabulary.encode`` never returns
+    the pad id, so the count of non-pad ids is exact."""
+    return int(np.count_nonzero(ids != PAD_ID))
+
+
 class TestEncodeAndPad:
     def test_pads_tail(self):
         vocab = build_vocabulary([["a", "b", "c", "d", "e"]], min_frequency=1)
-        seq = encode_and_pad(["a", "b", "c", "d", "e"], vocab, n=8)
-        assert seq.true_length == 5
-        assert list(seq.ids[5:]) == [PAD_ID] * 3
-        assert all(i >= 2 for i in seq.ids[:5])
+        ids = encode_and_pad(["a", "b", "c", "d", "e"], vocab, n=8)
+        assert true_length(ids) == 5
+        assert list(ids[5:]) == [PAD_ID] * 3
+        assert all(i >= 2 for i in ids[:5])
 
     def test_empty_tokens(self):
         vocab = build_vocabulary([["a"]], min_frequency=1)
-        seq = encode_and_pad([], vocab, n=4)
-        assert seq.true_length == 0
-        assert list(seq.ids) == [PAD_ID] * 4
+        ids = encode_and_pad([], vocab, n=4)
+        assert true_length(ids) == 0
+        assert list(ids) == [PAD_ID] * 4
 
     def test_truncates_keeping_head(self):
         vocab = build_vocabulary([[f"w{i}" for i in range(10)]], min_frequency=1)
         tokens = [f"w{i}" for i in range(10)]
-        seq = encode_and_pad(tokens, vocab, n=8)
-        assert seq.true_length == 8
-        assert [vocab.decode(i) for i in seq.ids] == tokens[:8]
+        ids = encode_and_pad(tokens, vocab, n=8)
+        assert true_length(ids) == 8
+        assert [vocab.decode(i) for i in ids] == tokens[:8]
 
     def test_unknown_tokens_map_to_unk(self):
         vocab = build_vocabulary([["a"]], min_frequency=1)
-        seq = encode_and_pad(["a", "zzz"], vocab, n=3)
-        assert list(seq.ids) == [vocab.encode("a"), UNK_ID, PAD_ID]
+        ids = encode_and_pad(["a", "zzz"], vocab, n=3)
+        assert list(ids) == [vocab.encode("a"), UNK_ID, PAD_ID]
 
     @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=24))
     def test_output_length_is_always_n(self, n, n_tokens):
         vocab = build_vocabulary([["a"]], min_frequency=1)
-        seq = encode_and_pad(["a"] * n_tokens, vocab, n)
-        assert len(seq.ids) == n
-        assert seq.true_length == min(n_tokens, n)
+        ids = encode_and_pad(["a"] * n_tokens, vocab, n)
+        assert ids.shape == (n,) and ids.dtype == np.int64 and not ids.flags.writeable
+        assert true_length(ids) == min(n_tokens, n)
 
 
 def write_raw_cache(path, header, sequences, labels):
