@@ -15,7 +15,10 @@ Settings may come from an INI config file (sections such as [data],
 [model], [train], [split] only group keys); command-line flags override
 the file.  A key is a flag's name without ``--``, with ``-`` or ``_``
 between words (``lr``, ``batch_size``); a key that no command takes is a
-usage error.  ``SETTINGS`` declares each setting once.  There is no
+usage error.  A flag that cannot apply to the run is a usage error too
+(``evaluate --split all`` with a split flag, ``evaluate --data`` with a
+column flag); its key in a config file is not, since one file serves
+every command.  ``SETTINGS`` declares each setting once.  There is no
 interactive mode and no wall-clock seeding: identical inputs, flags and
 seeds reproduce identical outputs byte for byte.
 
@@ -323,6 +326,14 @@ def _encoded_for_evaluate(args, values, model: Model) -> EncodedCorpus:
 
 
 def cmd_evaluate(args, values) -> int:
+    idle = {}
+    if args.data is not None:
+        idle.update(dict.fromkeys(("text_column", "label_column"), "--data"))
+    if args.split == "all":
+        idle.update(dict.fromkeys(("train_frac", "val_frac", "split_seed"), "--split all"))
+    for key, reason in idle.items():
+        if getattr(args, key) is not None:
+            raise _UsageError(f"--{key.replace('_', '-')} has no effect with {reason}")
     model = load_model(args.model)
     encoded = _encoded_for_evaluate(args, values, model)
     if args.split != "all":

@@ -197,8 +197,17 @@ class Vocabulary:
 
     @classmethod
     def from_json(cls, blob: dict) -> "Vocabulary":
-        """Inverse of :meth:`to_json`."""
-        return cls(blob["tokens"], blob["min_frequency"])
+        """Inverse of :meth:`to_json`; ValueError unless the tokens are
+        distinct non-empty strings, none reserved, and min_frequency >= 1."""
+        tokens, min_frequency = blob["tokens"], blob["min_frequency"]
+        if type(tokens) is not list or set(map(type, tokens)) - {str}:
+            raise ValueError("vocabulary tokens must be a list of strings")
+        if type(min_frequency) is not int or min_frequency < 1:
+            raise ValueError(f"min_frequency must be an int >= 1, got {min_frequency!r}")
+        vocab = cls(tokens, min_frequency)
+        if len(vocab._token_to_id) != len(vocab) or "" in vocab._token_to_id:
+            raise ValueError("vocabulary tokens repeat, include a reserved token or are empty")
+        return vocab
 
 
 def build_vocabulary(token_lists, min_frequency: int = 1) -> Vocabulary:

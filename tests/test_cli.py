@@ -8,7 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from sentinet import cli
-from sentinet.corpus_io import SplitSpec, stratified_indices
+from sentinet.corpus_io import CorruptFile, SplitSpec, stratified_indices
 from sentinet.model_training import NonFiniteLoss, load_model
 from sentinet.preprocess import EncodedCorpus, read_corpus_cache, write_corpus_cache
 
@@ -315,6 +315,49 @@ class TestEvaluate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--train-frac", "0.3"],
+        ["--split", "all", "--val-frac", "0.1"],
+        ["--split-seed", "5"],
+        ["--split", "test", "--text-column", "tweet"],
+        ["--label-column", "sent"],
+    ], ids=lambda flags: flags[-2])
+    def test_flag_that_cannot_apply_exits_1(self, prepared, trained, tmp_path, capsys, flags):
+        """Split flags with --split all (the default) and column flags with
+        --data would be ignored, so they are usage errors."""
+        _, data_dir = prepared
+        out = tmp_path / "r"
+        code = cli.main(
+            ["evaluate", "--model", str(trained), "--data", str(data_dir),
+             "--out-dir", str(out), *flags]
+        )
+        assert code == 1
+        assert "has no effect with" in one_error_line(capsys, prefix="usage error: ")
+        assert not out.exists()
+
+    def test_config_keys_that_cannot_apply_are_accepted(self, prepared, trained, tmp_path):
+        """One config file serves every command, so its split and column
+        keys stay accepted where they cannot apply."""
+        _, data_dir = prepared
+        ini = tmp_path / "all.ini"
+        ini.write_text("[any]\ntrain_frac = 0.3\ntext_column = tweet\n", encoding="utf-8")
+        base = ["evaluate", "--model", str(trained), "--data", str(data_dir)]
+        with_ini, without = tmp_path / "with_ini", tmp_path / "without"
+        assert cli.main([*base, "--config", str(ini), "--out-dir", str(with_ini)]) == 0
+        assert cli.main([*base, "--out-dir", str(without)]) == 0
+        assert (with_ini / "report.csv").read_bytes() == (without / "report.csv").read_bytes()
+
+    def test_split_flags_apply_to_one_partition(self, prepared, trained, tmp_path):
+        _, data_dir = prepared
+        out = tmp_path / "r"
+        code = cli.main(
+            ["evaluate", "--model", str(trained), "--data", str(data_dir), "--split", "test",
+             "--train-frac", "0.5", "--val-frac", "0.2", "--split-seed", "3",
+             "--out-dir", str(out)]
+        )
+        assert code == 0
+        assert (out / "report.csv").exists()
+
 
 class TestDamagedCache:
     def test_truncated_cache_exits_2(self, prepared, tmp_path, capsys):
@@ -384,6 +427,48 @@ class TestDamagedCache:
         )
         assert code == 2
         one_error_line(capsys)
+
+
+# vocabularies of the prepared corpus's length, so its ids still fit and
+# only the check refuses them; each maps a vocabulary's tokens to a blob
+BAD_VOCABS = {
+    "int-tokens": lambda tokens: {"tokens": list(range(len(tokens))), "min_frequency": 1},
+    "all-duplicates": lambda tokens: {"tokens": tokens[:1] * len(tokens), "min_frequency": 1},
+    "pad-token": lambda tokens: {"tokens": ["<pad>", *tokens[1:]], "min_frequency": 1},
+    "unk-token": lambda tokens: {"tokens": [*tokens[:-1], "<unk>"], "min_frequency": 1},
+    "empty-token": lambda tokens: {"tokens": ["", *tokens[1:]], "min_frequency": 1},
+    "zero-min-frequency": lambda tokens: {"tokens": tokens, "min_frequency": 0},
+    "string-min-frequency": lambda tokens: {"tokens": tokens, "min_frequency": "1"},
+    "bool-min-frequency": lambda tokens: {"tokens": tokens, "min_frequency": True},
+}
+
+
+class TestCheckedVocabulary:
+    """A vocabulary ingest cannot have written is refused: with int or
+    repeated tokens every text would encode as unknown and get the same
+    probabilities."""
+
+    @pytest.mark.parametrize("case", BAD_VOCABS)
+    def test_vocab_json_exits_2(self, prepared, tmp_path, capsys, case):
+        _, data_dir = prepared
+        bad = copy_prepared(data_dir, tmp_path / "bad")
+        tokens = json.loads((bad / "vocab.json").read_text("utf-8"))["tokens"]
+        (bad / "vocab.json").write_text(json.dumps(BAD_VOCABS[case](tokens)), encoding="utf-8")
+        assert cli.main(train_args(bad, tmp_path / "run")) == 2
+        assert "malformed vocab.json" in one_error_line(capsys)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("case", BAD_VOCABS)
+    def test_model_file_vocabulary_exits_2(self, model_path, tmp_path, capsys, case):
+        bad = tmp_path / "model.bin"
+        bad.write_bytes(model_path.read_bytes())
+        rewrite_header(
+            bad, lambda header: header.update(vocab=BAD_VOCABS[case](header["vocab"]["tokens"]))
+        )
+        with pytest.raises(CorruptFile):
+            load_model(bad)
+        assert cli.main(["predict", "--model", str(bad), "a splendid day"]) == 2
+        assert "malformed header" in one_error_line(capsys)
 
 
 class TestPredict:
