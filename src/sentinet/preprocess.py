@@ -9,6 +9,10 @@ input the previous stages have already normalized:
 URL removal runs before punctuation removal on purpose: stripping
 punctuation first would shatter every URL into junk tokens.
 
+Stemming goes through the memo on :func:`sentinet.stemming.stem`: per
+process, bounded at 65,536 tokens and exact (a hit returns what the
+cascade returns), so a corpus costs its distinct tokens' stemming once.
+
 The corpus cache is a container of :mod:`sentinet.corpus_io` (layout
 there) with magic ``SNEC`` and version 1.  Its header holds ``rows`` and
 ``seq_len``; the payload holds the (rows, seq_len) id matrix row by row,
@@ -35,6 +39,7 @@ _URL_RE = re.compile(r"(?:https?://|www\.)\S*", re.IGNORECASE)
 _RETWEET_RE = re.compile(r"^(?:rt[:\s]\s*)+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+:?")
 _HASHTAG_WORD_RE = re.compile(r"#\w+")
+_NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 
 
@@ -50,9 +55,6 @@ class StopWordList:
                 raise ValueError("stop-word list contains an empty string")
             if w != w.lower():
                 raise ValueError(f"stop word not lowercase: {w!r}")
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.words
 
     def __len__(self) -> int:
         return len(self.words)
@@ -92,7 +94,7 @@ def filter_twitter_artifacts(text: str, drop_hashtag_words: bool = False) -> str
         text = _HASHTAG_WORD_RE.sub("", text)
     else:
         text = text.replace("#", "")
-    return "".join(c if c.isascii() else " " for c in text)
+    return text if text.isascii() else _NON_ASCII_RE.sub(" ", text)
 
 
 def remove_punctuation(text: str) -> str:
@@ -107,7 +109,8 @@ def tokenize(text: str) -> list[str]:
 
 def remove_stop_words(tokens: list[str], stops: StopWordList) -> list[str]:
     """Order-preserving removal of tokens found in the stop list."""
-    return [t for t in tokens if t not in stops]
+    words = stops.words
+    return [t for t in tokens if t not in words]
 
 
 def clean_tokens(
@@ -149,12 +152,15 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, blob: dict) -> "PipelineConfig":
-        """Inverse of :meth:`to_json`; other keys in ``blob`` are ignored."""
-        return cls(
-            StopWordList(frozenset(blob["stop_words"])),
-            blob["drop_hashtag_words"],
-            blob["dedupe"],
-        )
+        """Inverse of :meth:`to_json`; other keys in ``blob`` are ignored.
+        ValueError unless ``stop_words`` is a list of strings and both
+        flags are bools."""
+        stop_words, flags = blob["stop_words"], (blob["drop_hashtag_words"], blob["dedupe"])
+        if type(stop_words) is not list or set(map(type, stop_words)) - {str}:
+            raise ValueError("stop_words must be a list of strings")
+        if {type(f) for f in flags} - {bool}:
+            raise ValueError(f"drop_hashtag_words and dedupe must be bools, got {flags!r}")
+        return cls(StopWordList(frozenset(stop_words)), *flags)
 
 
 class Vocabulary:
@@ -228,8 +234,8 @@ def encode_and_pad(tokens: list[str], vocab: Vocabulary, n: int) -> np.ndarray:
     if n < 1:
         raise InvalidConfig(f"sequence length must be >= 1, got {n}")
     ids = np.full(n, PAD_ID, dtype=np.int64)
-    for i, tok in enumerate(tokens[:n]):
-        ids[i] = vocab.encode(tok)
+    row = [vocab.encode(tok) for tok in tokens[:n]]
+    ids[: len(row)] = row
     ids.setflags(write=False)
     return ids
 

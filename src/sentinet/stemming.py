@@ -13,6 +13,7 @@ a-z pass through unchanged.
 
 from __future__ import annotations
 
+import functools
 import string
 
 _CLASS = str.maketrans({ch: "v" if ch in "aeiou" else "c" for ch in string.ascii_letters})
@@ -132,11 +133,14 @@ def _step1b(word: str) -> str:
     return word
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def stem(token: str) -> str:
     """Reduce a lowercase token to its root via the five-step cascade.
 
     Tokens that are not purely a-z (digits, non-ASCII, embedded marks)
-    are returned unchanged.
+    are returned unchanged.  Results are cached per process; past 65,536
+    distinct tokens the least recently used one is dropped.
+    ``stem.__wrapped__`` is the uncached cascade.
     """
     if not token or not token.isascii() or not token.isalpha():
         return token

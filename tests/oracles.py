@@ -8,6 +8,7 @@ vectorized production code it checks.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -139,3 +140,26 @@ def loop_confusion(predictions, actuals) -> np.ndarray:
             raise LabelOutOfRange(f"labels must be 0, 1 or 2: got ({p}, {a})")
         counts[p][a] += 1
     return counts
+
+
+def loop_filter_twitter_artifacts(text: str, drop_hashtag_words: bool = False) -> str:
+    """``preprocess.filter_twitter_artifacts`` as it was first written, each
+    non-ASCII character replaced one at a time: the reference for its
+    regex fast path."""
+    text = re.sub(r"^(?:rt[:\s]\s*)+", "", text, flags=re.IGNORECASE)
+    text = re.sub(r"@\w+:?", "", text)
+    if drop_hashtag_words:
+        text = re.sub(r"#\w+", "", text)
+    else:
+        text = text.replace("#", "")
+    return "".join(c if c.isascii() else " " for c in text)
+
+
+def loop_encode(token_lists, vocab, n: int) -> np.ndarray:
+    """The (rows, n) padded id matrix written one token at a time: the
+    reference for ``encode_and_pad`` and ``encode_corpus``."""
+    ids = np.full((len(token_lists), n), PAD_ID, dtype=np.int64)
+    for row, tokens in enumerate(token_lists):
+        for i, token in enumerate(tokens[:n]):
+            ids[row, i] = vocab.encode(token)
+    return ids

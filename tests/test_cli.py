@@ -471,6 +471,43 @@ class TestCheckedVocabulary:
         assert "malformed header" in one_error_line(capsys)
 
 
+# pipeline settings ingest cannot have written, each as the change it
+# makes to a valid pipeline blob
+BAD_PIPELINES = {
+    "string-stop-words": {"stop_words": "the"},
+    "int-stop-word": {"stop_words": ["the", 1]},
+    "string-flag": {"drop_hashtag_words": "no"},
+    "int-flag": {"drop_hashtag_words": 0},
+    "list-flag": {"dedupe": [1]},
+}
+
+
+class TestCheckedPipeline:
+    """A pipeline ingest cannot have written is refused: a string of stop
+    words would be read as its letters and ``"no"`` as true, and predict
+    would replay that pipeline on new text."""
+
+    @pytest.mark.parametrize("case", BAD_PIPELINES)
+    def test_meta_json_exits_2(self, prepared, tmp_path, capsys, case):
+        _, data_dir = prepared
+        bad = copy_prepared(data_dir, tmp_path / "bad")
+        meta = json.loads((bad / "meta.json").read_text("utf-8"))
+        (bad / "meta.json").write_text(json.dumps({**meta, **BAD_PIPELINES[case]}), "utf-8")
+        assert cli.main(train_args(bad, tmp_path / "run")) == 2
+        assert "malformed vocab.json or meta.json" in one_error_line(capsys)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("case", BAD_PIPELINES)
+    def test_model_file_pipeline_exits_2(self, model_path, tmp_path, capsys, case):
+        bad = tmp_path / "model.bin"
+        bad.write_bytes(model_path.read_bytes())
+        rewrite_header(bad, lambda header: header["pipeline"].update(BAD_PIPELINES[case]))
+        with pytest.raises(CorruptFile):
+            load_model(bad)
+        assert cli.main(["predict", "--model", str(bad), "the #hashtag went home"]) == 2
+        assert "malformed header" in one_error_line(capsys)
+
+
 class TestPredict:
     def test_output_format(self, model_path, capsys):
         code = cli.main(["predict", "--model", str(model_path), "a splendid day"])

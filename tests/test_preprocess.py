@@ -37,6 +37,8 @@ from sentinet.preprocess import (
     write_corpus_cache,
 )
 
+from oracles import loop_encode, loop_filter_twitter_artifacts
+
 NO_STOPS = StopWordList(frozenset())
 
 
@@ -79,6 +81,42 @@ class TestStages:
         assert remove_stop_words(["the", "virus", "is", "mild"], stops) == ["virus", "mild"]
         assert remove_stop_words(["the", "is"], stops) == []
         assert remove_stop_words(["virus", "mild"], NO_STOPS) == ["virus", "mild"]
+
+
+# pieces the cleaning regexes act on, mixed with arbitrary code points
+# (lone surrogates included): astral emoji, combining marks, marks and
+# retweet prefixes in either case
+TWEET_PIECES = st.one_of(
+    st.characters(exclude_categories=()),
+    st.sampled_from(
+        ["#", "RT ", "rt:", "Rt\t", "@x:", "@user", " ", "\U0001F600", "\U0001F1EB\U0001F1F7",
+         "e\u0301", "\u0338", "\ud800", "\udfff", "\u00e9", "\u3000", "_", "#\u00e9t\u00e9"]
+    ),
+)
+
+
+class TestFastPaths:
+    """Each fast path equals the slow form it replaced."""
+
+    @given(st.lists(TWEET_PIECES, max_size=24).map("".join), st.booleans())
+    def test_filter_artifacts_equals_per_character_loop(self, text, drop_hashtag_words):
+        assert filter_twitter_artifacts(text, drop_hashtag_words) == loop_filter_twitter_artifacts(
+            text, drop_hashtag_words
+        )
+
+    @given(
+        st.lists(st.lists(st.sampled_from(["a", "b", "zzz", "<pad>", "<unk>"]), max_size=9),
+                 max_size=6),
+        st.integers(min_value=1, max_value=8),
+    )
+    def test_encoding_equals_token_by_token_loop(self, token_lists, n):
+        vocab = build_vocabulary([["a", "b", "b"]], min_frequency=1)
+        expected = loop_encode(token_lists, vocab, n)
+        corpus = encode_corpus(token_lists, [0] * len(token_lists), vocab, n)
+        assert corpus.sequences.dtype == np.int64
+        npt.assert_array_equal(corpus.sequences, expected)
+        for tokens, row in zip(token_lists, expected):
+            npt.assert_array_equal(encode_and_pad(tokens, vocab, n), row)
 
 
 class TestPipeline:
