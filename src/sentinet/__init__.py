@@ -47,37 +47,3 @@ from .tensor_core import Rng
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LabeledCorpus",
-    "LabeledExample",
-    "SplitSpec",
-    "class_histogram",
-    "load_corpus",
-    "ConvLayer",
-    "DenseSoftmax",
-    "EmbeddingLayer",
-    "LstmLayer",
-    "ConfusionMatrix3",
-    "confusion",
-    "macro_report",
-    "EpochHistory",
-    "Model",
-    "ModelConfig",
-    "TrainConfig",
-    "build_model",
-    "evaluate",
-    "load_model",
-    "predict_text",
-    "save_model",
-    "train",
-    "PipelineConfig",
-    "StopWordList",
-    "Vocabulary",
-    "build_vocabulary",
-    "default_stop_words",
-    "encode_and_pad",
-    "preprocess_pipeline",
-    "stem",
-    "Rng",
-    "__version__",
-]

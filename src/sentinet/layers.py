@@ -169,6 +169,11 @@ class LstmLayer:
     pre-activation is one GEMM over all steps, outside the recurrence, so
     each step costs a single h_{t-1} @ W_h.  Cell and hidden state start
     at zero for every sequence; every step runs, pad positions included.
+
+    Every buffer is allocated per call.  The time loop walks per-step views
+    of the (B, T, ...) buffers and writes each expression above into them
+    with ``out=``, so every output, cache entry and gradient has the bits of
+    those expressions evaluated one temporary at a time.
     """
 
     GATES = ("input", "forget", "output", "cell")
@@ -189,14 +194,22 @@ class LstmLayer:
         cells = np.zeros((batch, length + 1, d_h))  # cells[:, t] is c_{t-1}
         hidden = np.zeros((batch, length + 1, d_h))  # hidden[:, t] is h_{t-1}
         tanh_cells = np.empty((batch, length, d_h))
-        for t in range(length):
-            a = pre[:, t] + hidden[:, t] @ w_h
-            gates[:, t, : 3 * d_h] = tc.sigmoid(a[:, : 3 * d_h])
-            gates[:, t, 3 * d_h :] = np.tanh(a[:, 3 * d_h :])
-            i, f, o, g = np.split(gates[:, t], 4, axis=1)
-            cells[:, t + 1] = f * cells[:, t] + i * g
-            tanh_cells[:, t] = np.tanh(cells[:, t + 1])
-            hidden[:, t + 1] = o * tanh_cells[:, t]
+        a = np.empty((batch, 4 * d_h))  # one step's pre-activation
+        a_ifo, a_g = np.split(a, [3 * d_h], axis=1)
+        ifo_out, i_g = np.empty((batch, 3 * d_h)), np.empty((batch, d_h))
+        walk = (pre, gates[..., : 3 * d_h], *np.split(gates, 4, axis=2), cells[:, :-1],
+                cells[:, 1:], hidden[:, :-1], hidden[:, 1:], tanh_cells)
+        for p, ifo, i, f, o, g, c_prev, c, h_prev, h, tanh_c in _by_step(walk):
+            np.matmul(h_prev, w_h, out=a)
+            a += p
+            # into a contiguous buffer, then one copy: at B >= 32 the four
+            # passes of the sigmoid run slower on the strided gate view
+            ifo[:] = tc.sigmoid(a_ifo, out=ifo_out)
+            np.tanh(a_g, out=g)
+            np.multiply(f, c_prev, out=c)
+            c += np.multiply(i, g, out=i_g)
+            np.tanh(c, out=tanh_c)
+            np.multiply(o, tanh_c, out=h)
         return hidden[:, -1].copy(), (steps, gates, cells, tanh_cells, hidden)
 
     def backward(self, cache, d_h_final):
@@ -206,22 +219,26 @@ class LstmLayer:
         d_pre = np.empty_like(gates)
         d_h = d_h_final
         d_c = np.zeros_like(d_h)
-        for t in range(gates.shape[1] - 1, -1, -1):
-            i, f, o, g = np.split(gates[:, t], 4, axis=1)
-            ct = tanh_cells[:, t]
+        walk = (*np.split(gates, 4, axis=2), cells[:, :-1], tanh_cells, d_pre,
+                *np.split(d_pre, 4, axis=2))
+        for i, f, o, g, c_prev, ct, d_gate, d_i, d_f, d_o, d_g in _by_step(walk, reverse=True):
             d_c = d_c + d_h * o * (1.0 - ct * ct)
-            d_i, d_f, d_o, d_g = np.split(d_pre[:, t], 4, axis=1)
             d_i[:] = d_c * g * i * (1.0 - i)
-            d_f[:] = d_c * cells[:, t] * f * (1.0 - f)
+            d_f[:] = d_c * c_prev * f * (1.0 - f)
             d_o[:] = d_h * ct * o * (1.0 - o)
             d_g[:] = d_c * i * (1.0 - g * g)
             d_c = d_c * f
-            d_h = d_pre[:, t] @ w_h
+            d_h = d_gate @ w_h
         flat = d_pre.reshape(-1, d_pre.shape[2])
         z = np.concatenate([steps, hidden[:, :-1]], axis=2)
         d_weights = flat.T @ z.reshape(len(flat), -1)
         d_steps = d_pre @ self.weights[:, :in_dim]
         return {"weights": d_weights, "bias": flat.sum(axis=0)}, d_steps
+
+
+def _by_step(buffers, reverse: bool = False):
+    """Walk (B, T, ...) buffers together, yielding each step's (B, ...) views."""
+    return zip(*(buf.swapaxes(0, 1)[:: -1 if reverse else 1] for buf in buffers))
 
 
 class MeanPool:

@@ -116,12 +116,14 @@ def remove_stop_words(tokens: list[str], stops: StopWordList) -> list[str]:
 def clean_tokens(
     raw: str, stops: StopWordList, drop_hashtag_words: bool = False
 ) -> list[str]:
-    """All cleaning stages except stemming (idempotent on clean input)."""
-    text = raw.lower()
-    text = remove_urls(text)
+    """All cleaning stages except stemming (idempotent on clean input).
+
+    The text is lowercased once, first; the later stages keep it lowercase
+    and leave it ASCII, so splitting it is what :func:`tokenize` would do.
+    """
+    text = remove_urls(raw.lower())
     text = filter_twitter_artifacts(text, drop_hashtag_words)
-    text = remove_punctuation(text)
-    return remove_stop_words(tokenize(text), stops)
+    return remove_stop_words(remove_punctuation(text).split(), stops)
 
 
 def preprocess_pipeline(

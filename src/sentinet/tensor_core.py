@@ -16,13 +16,21 @@ class ShapeMismatch(ValueError):
     """Operand shapes are incompatible for the requested operation."""
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Entrywise logistic function, output in [0, 1].
 
     Computed as 0.5 * (1 + tanh(x / 2)), which never exponentiates, so
-    arguments beyond +-700 cannot overflow to inf/NaN.
+    arguments beyond +-700 cannot overflow to inf/NaN.  Given ``out`` (float64,
+    x's shape; ``x`` itself or a strided view will do), every step writes
+    there and ``out`` is returned, with the bits of the call without it.
     """
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(x, dtype=np.float64)))
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x) if out is None else out
+    np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
 
 
 class Rng:

@@ -13,7 +13,14 @@ import re
 import numpy as np
 
 from sentinet.metrics import LabelOutOfRange, LengthMismatch
-from sentinet.preprocess import PAD_ID
+from sentinet.preprocess import (
+    PAD_ID,
+    filter_twitter_artifacts,
+    remove_punctuation,
+    remove_stop_words,
+    remove_urls,
+    tokenize,
+)
 
 
 def relative_error(analytic: float, numeric: float) -> float:
@@ -155,6 +162,15 @@ def loop_filter_twitter_artifacts(text: str, drop_hashtag_words: bool = False) -
     return "".join(c if c.isascii() else " " for c in text)
 
 
+def staged_clean_tokens(raw: str, stops, drop_hashtag_words: bool = False) -> list[str]:
+    """``preprocess.clean_tokens`` as its five stages, ``tokenize`` lowercasing
+    a second time: the reference for the cleaner that lowercases once."""
+    text = remove_urls(raw.lower())
+    text = filter_twitter_artifacts(text, drop_hashtag_words)
+    text = remove_punctuation(text)
+    return remove_stop_words(tokenize(text), stops)
+
+
 def loop_encode(token_lists, vocab, n: int) -> np.ndarray:
     """The (rows, n) padded id matrix written one token at a time: the
     reference for ``encode_and_pad`` and ``encode_corpus``."""
@@ -163,3 +179,59 @@ def loop_encode(token_lists, vocab, n: int) -> np.ndarray:
         for i, token in enumerate(tokens[:n]):
             ids[row, i] = vocab.encode(token)
     return ids
+
+
+def _loop_sigmoid(x: np.ndarray) -> np.ndarray:
+    # tensor_core.sigmoid's formula, one temporary per operation
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def loop_lstm_forward(weights: np.ndarray, bias: np.ndarray, steps: np.ndarray):
+    """``LstmLayer.forward`` as first written: each step indexes ``[:, t]``,
+    splits its gates with ``np.split`` and builds every gate expression as
+    a temporary.  The reference for the layer's step-view loop; returns
+    ``(h_final, cache)`` in the layer's cache layout."""
+    batch, length, in_dim = steps.shape
+    d_h = weights.shape[0] // 4
+    w_h = weights[:, in_dim:].T
+    pre = steps @ weights[:, :in_dim].T + bias
+    gates = np.empty_like(pre)
+    cells = np.zeros((batch, length + 1, d_h))
+    hidden = np.zeros((batch, length + 1, d_h))
+    tanh_cells = np.empty((batch, length, d_h))
+    for t in range(length):
+        a = pre[:, t] + hidden[:, t] @ w_h
+        gates[:, t, : 3 * d_h] = _loop_sigmoid(a[:, : 3 * d_h])
+        gates[:, t, 3 * d_h :] = np.tanh(a[:, 3 * d_h :])
+        i, f, o, g = np.split(gates[:, t], 4, axis=1)
+        cells[:, t + 1] = f * cells[:, t] + i * g
+        tanh_cells[:, t] = np.tanh(cells[:, t + 1])
+        hidden[:, t + 1] = o * tanh_cells[:, t]
+    return hidden[:, -1].copy(), (steps, gates, cells, tanh_cells, hidden)
+
+
+def loop_lstm_backward(weights: np.ndarray, cache, d_h_final: np.ndarray):
+    """``LstmLayer.backward`` as first written, one ``[:, t]`` index and
+    ``np.split`` per step: the reference for the layer's backward."""
+    steps, gates, cells, tanh_cells, hidden = cache
+    in_dim = steps.shape[2]
+    w_h = weights[:, in_dim:]
+    d_pre = np.empty_like(gates)
+    d_h = d_h_final
+    d_c = np.zeros_like(d_h)
+    for t in range(gates.shape[1] - 1, -1, -1):
+        i, f, o, g = np.split(gates[:, t], 4, axis=1)
+        ct = tanh_cells[:, t]
+        d_c = d_c + d_h * o * (1.0 - ct * ct)
+        d_i, d_f, d_o, d_g = np.split(d_pre[:, t], 4, axis=1)
+        d_i[:] = d_c * g * i * (1.0 - i)
+        d_f[:] = d_c * cells[:, t] * f * (1.0 - f)
+        d_o[:] = d_h * ct * o * (1.0 - o)
+        d_g[:] = d_c * i * (1.0 - g * g)
+        d_c = d_c * f
+        d_h = d_pre[:, t] @ w_h
+    flat = d_pre.reshape(-1, d_pre.shape[2])
+    z = np.concatenate([steps, hidden[:, :-1]], axis=2)
+    d_weights = flat.T @ z.reshape(len(flat), -1)
+    d_steps = d_pre @ weights[:, :in_dim]
+    return {"weights": d_weights, "bias": flat.sum(axis=0)}, d_steps

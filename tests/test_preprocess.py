@@ -37,7 +37,7 @@ from sentinet.preprocess import (
     write_corpus_cache,
 )
 
-from oracles import loop_encode, loop_filter_twitter_artifacts
+from oracles import loop_encode, loop_filter_twitter_artifacts, staged_clean_tokens
 
 NO_STOPS = StopWordList(frozenset())
 
@@ -148,6 +148,25 @@ class TestPipeline:
         text = " ".join(words)
         once = clean_tokens(text, stops)
         assert clean_tokens(" ".join(once), stops) == once
+
+    @given(
+        st.text(
+            alphabet=st.one_of(
+                st.sampled_from("RT rt @#:/.-_!? \t\nhttps://www.x.co AbcZ"),
+                st.characters(),
+            ),
+            max_size=60,
+        ),
+        st.booleans(),
+    )
+    def test_clean_tokens_is_its_stages(self, raw, drop_hashtag_words):
+        # İ, ß, the Kelvin sign and other non-ASCII letters lowercase to
+        # ASCII or longer text before the filter blanks what is left
+        stops = StopWordList(frozenset({"the", "k", "i"}))
+        for text in (raw, raw + " İK\u212a ß THE"):
+            assert clean_tokens(text, stops, drop_hashtag_words) == staged_clean_tokens(
+                text, stops, drop_hashtag_words
+            )
 
     def test_output_character_invariant(self):
         rng = np.random.default_rng(3)
