@@ -170,10 +170,10 @@ class LstmLayer:
     each step costs a single h_{t-1} @ W_h.  Cell and hidden state start
     at zero for every sequence; every step runs, pad positions included.
 
-    Every buffer is allocated per call.  The time loop walks per-step views
-    of the (B, T, ...) buffers and writes each expression above into them
-    with ``out=``, so every output, cache entry and gradient has the bits of
-    those expressions evaluated one temporary at a time.
+    Every buffer is allocated per call.  Both time loops walk per-step views
+    of the (B, T, ...) buffers, and the forward writes each expression above
+    into them with ``out=``; every output, cache entry and gradient has the
+    bits of those expressions evaluated one temporary at a time.
     """
 
     GATES = ("input", "forget", "output", "cell")
@@ -189,7 +189,8 @@ class LstmLayer:
             raise EmptySequence("LSTM needs at least one step")
         d_h = self.weights.shape[0] // 4
         w_h = self.weights[:, in_dim:].T
-        pre = steps @ self.weights[:, :in_dim].T + self.bias  # (B, T, 4 d_h)
+        pre = steps @ self.weights[:, :in_dim].T  # (B, T, 4 d_h)
+        pre += self.bias
         gates = np.empty_like(pre)  # activated i, f, o, g per step
         cells = np.zeros((batch, length + 1, d_h))  # cells[:, t] is c_{t-1}
         hidden = np.zeros((batch, length + 1, d_h))  # hidden[:, t] is h_{t-1}
