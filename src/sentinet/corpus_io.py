@@ -147,22 +147,25 @@ def load_corpus(path, text_column: str = "text", label_column: str = "label") ->
     examples: list[LabeledExample] = []
     row_number = -1  # the last row read: 0 is the header, 1 the first data row
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
-            header = reader.fieldnames
+            header = next(reader, None)
             row_number = 0
             if header is None:
                 raise EmptyFile(path)
+            # as csv.DictReader: blank lines skipped, last repeated name wins, missing fields ""
+            last = {name: at for at, name in enumerate(header)}
             for column in (text_column, label_column):
-                if column not in header:
+                if column not in last:
                     raise MissingColumn(column, path)
-            for row_number, row in enumerate(reader, start=1):
-                raw_label = row.get(label_column) or ""
+            text_at, label_at = last[text_column], last[label_column]
+            for row_number, row in enumerate(filter(None, reader), start=1):
+                raw_label = row[label_at] if label_at < len(row) else ""
                 try:
                     label = internal_label(raw_label)
                 except KeyError:
                     raise UnparsableLabel(raw_label, row_number, path) from None
-                text = (row.get(text_column) or "").strip()
+                text = (row[text_at] if text_at < len(row) else "").strip()
                 if not text:
                     raise EmptyText(row_number, path)
                 examples.append(LabeledExample(text=text, label=label))

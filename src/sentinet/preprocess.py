@@ -9,9 +9,17 @@ input the previous stages have already normalized:
 URL removal runs before punctuation removal on purpose: stripping
 punctuation first would shatter every URL into junk tokens.
 
+Each regex stage skips a pattern that cannot match: a URL needs ``://``
+or ``.``, a retweet marker a text starting with ``rt`` in any case, a
+mention an ``@``.  The URL pattern keeps ``re.IGNORECASE`` on lowercased
+text: under it ``s`` also matches U+017F (long s), so ``httpſ://x`` is a URL.
+
 Stemming goes through the memo on :func:`sentinet.stemming.stem`: per
 process, bounded at 65,536 tokens and exact (a hit returns what the
 cascade returns), so a corpus costs its distinct tokens' stemming once.
+
+Encoding has one row rule: a row's first ``n`` token ids (UNK_ID if
+unknown), then PAD_ID up to ``n``.  :func:`encode_and_pad` is its one-row case.
 
 The corpus cache is a container of :mod:`sentinet.corpus_io` (layout
 there) with magic ``SNEC`` and version 1.  Its header holds ``rows`` and
@@ -26,6 +34,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -40,7 +49,7 @@ _RETWEET_RE = re.compile(r"^(?:rt[:\s]\s*)+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+:?")
 _HASHTAG_WORD_RE = re.compile(r"#\w+")
 _NON_ASCII_RE = re.compile(r"[^\x00-\x7f]")
-_PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
+_PUNCT_BYTES = bytes.maketrans(string.punctuation.encode(), b" " * len(string.punctuation))
 
 
 @dataclass(frozen=True)
@@ -75,7 +84,7 @@ def default_stop_words() -> StopWordList:
 
 def remove_urls(text: str) -> str:
     """Delete every http(s)://... or www.... run up to the next whitespace."""
-    return _URL_RE.sub("", text)
+    return _URL_RE.sub("", text) if "://" in text or "." in text else text
 
 
 def filter_twitter_artifacts(text: str, drop_hashtag_words: bool = False) -> str:
@@ -88,8 +97,10 @@ def filter_twitter_artifacts(text: str, drop_hashtag_words: bool = False) -> str
     #monkeypox carry the topic; pass ``drop_hashtag_words=True`` to remove
     the whole token.  Non-ASCII characters become spaces.
     """
-    text = _RETWEET_RE.sub("", text)
-    text = _MENTION_RE.sub("", text)
+    if text[:2].lower() == "rt":
+        text = _RETWEET_RE.sub("", text)
+    if "@" in text:
+        text = _MENTION_RE.sub("", text)
     if drop_hashtag_words:
         text = _HASHTAG_WORD_RE.sub("", text)
     else:
@@ -98,8 +109,8 @@ def filter_twitter_artifacts(text: str, drop_hashtag_words: bool = False) -> str
 
 
 def remove_punctuation(text: str) -> str:
-    """Replace every ASCII punctuation character with a single space."""
-    return text.translate(_PUNCT_TABLE)
+    """Replace every ASCII punctuation character with a single space, bytewise on UTF-8."""
+    return text.encode(errors="surrogatepass").translate(_PUNCT_BYTES).decode(errors="surrogatepass")
 
 
 def tokenize(text: str) -> list[str]:
@@ -130,7 +141,7 @@ def preprocess_pipeline(
     raw: str, stops: StopWordList, drop_hashtag_words: bool = False
 ) -> list[str]:
     """Full cleaning pipeline: clean_tokens followed by stemming each token."""
-    return [stem(t) for t in clean_tokens(raw, stops, drop_hashtag_words)]
+    return list(map(stem, clean_tokens(raw, stops, drop_hashtag_words)))
 
 
 @dataclass(frozen=True)
@@ -170,7 +181,8 @@ class Vocabulary:
 
     Corpus tokens get ids from 2 upward in order of descending corpus
     frequency, ties broken lexicographically, so construction is fully
-    deterministic.
+    deterministic.  ValueError if the tokens repeat, include a reserved
+    token or are empty.
     """
 
     PAD_TOKEN = "<pad>"
@@ -178,19 +190,20 @@ class Vocabulary:
 
     def __init__(self, tokens_by_id: list[str], min_frequency: int):
         self._id_to_token = (self.PAD_TOKEN, self.UNK_TOKEN, *tokens_by_id)
-        self._token_to_id = {t: i for i, t in enumerate(self._id_to_token)}
+        self._token_to_id = dict(zip(tokens_by_id, count(2)))  # corpus tokens only
+        reserved = {"", self.PAD_TOKEN, self.UNK_TOKEN}
+        if len(self._token_to_id) + 2 != len(self) or not reserved.isdisjoint(self._token_to_id):
+            raise ValueError("vocabulary tokens repeat, include a reserved token or are empty")
         self.min_frequency = min_frequency
 
     def __len__(self) -> int:
         return len(self._id_to_token)
 
     def __contains__(self, token: str) -> bool:
-        tid = self._token_to_id.get(token)
-        return tid is not None and tid >= 2
+        return token in self._token_to_id
 
     def encode(self, token: str) -> int:
-        tid = self._token_to_id.get(token, UNK_ID)
-        return tid if tid >= 2 else UNK_ID
+        return self._token_to_id.get(token, UNK_ID)
 
     def decode(self, token_id: int) -> str:
         return self._id_to_token[token_id]
@@ -212,34 +225,33 @@ class Vocabulary:
             raise ValueError("vocabulary tokens must be a list of strings")
         if type(min_frequency) is not int or min_frequency < 1:
             raise ValueError(f"min_frequency must be an int >= 1, got {min_frequency!r}")
-        vocab = cls(tokens, min_frequency)
-        if len(vocab._token_to_id) != len(vocab) or "" in vocab._token_to_id:
-            raise ValueError("vocabulary tokens repeat, include a reserved token or are empty")
-        return vocab
+        return cls(tokens, min_frequency)
 
 
 def build_vocabulary(token_lists, min_frequency: int = 1) -> Vocabulary:
     """Index every token whose corpus frequency reaches ``min_frequency``."""
     if min_frequency < 1:
         raise InvalidConfig(f"min_frequency must be >= 1, got {min_frequency}")
-    counts = Counter()
-    for tokens in token_lists:
-        counts.update(tokens)
+    counts = Counter(chain.from_iterable(token_lists))
     kept = [t for t, c in counts.items() if c >= min_frequency]
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocabulary(kept, min_frequency)
 
 
 def encode_and_pad(tokens: list[str], vocab: Vocabulary, n: int) -> np.ndarray:
-    """Map tokens to ids, truncate past ``n``, and zero-pad up to ``n``; the
-    read-only id array."""
-    if n < 1:
-        raise InvalidConfig(f"sequence length must be >= 1, got {n}")
-    ids = np.full(n, PAD_ID, dtype=np.int64)
-    row = [vocab.encode(tok) for tok in tokens[:n]]
-    ids[: len(row)] = row
+    """The read-only id row of ``tokens``: :func:`encode_corpus` on one row."""
+    ids = _flat_ids([tokens], vocab, n)
     ids.setflags(write=False)
     return ids
+
+
+def _flat_ids(token_lists: list, vocab: Vocabulary, n: int) -> np.ndarray:
+    """Each row's first ``n`` token ids then PAD_ID up to ``n``, all rows flat."""
+    if n < 1:
+        raise InvalidConfig(f"sequence length must be >= 1, got {n}")
+    get, unknown = vocab._token_to_id.get, repeat(UNK_ID)
+    rows = (chain(map(get, t[:n], unknown), repeat(PAD_ID, n - len(t))) for t in token_lists)
+    return np.fromiter(chain.from_iterable(rows), np.int64, len(token_lists) * n)
 
 
 @dataclass(frozen=True)
@@ -267,12 +279,8 @@ class EncodedCorpus:
 
 def encode_corpus(token_lists, labels, vocab: Vocabulary, n: int) -> EncodedCorpus:
     """Encode a whole corpus into an EncodedCorpus of fixed length ``n``."""
-    token_lists = list(token_lists)
-    if token_lists:
-        seqs = np.stack([encode_and_pad(t, vocab, n) for t in token_lists])
-    else:
-        seqs = np.empty((0, n), dtype=np.int64)
-    return EncodedCorpus(seqs, np.asarray(labels, dtype=np.int64))
+    ids = _flat_ids(list(token_lists), vocab, n).reshape(-1, n)
+    return EncodedCorpus(ids, np.asarray(labels, dtype=np.int64))
 
 
 CACHE_MAGIC = b"SNEC"

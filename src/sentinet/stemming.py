@@ -36,16 +36,21 @@ def _ends_star_o(word: str, form: str) -> bool:
     return form.endswith("cvc") and word[-1] not in "wxy"
 
 
-# (suffix, replacement) rules; in each table the first matching suffix is
-# the longest one.
-_STEP1A_RULES = (
+def _rules(*pairs) -> tuple:
+    """A rule table: its suffix tuple, then its (suffix, replacement) pairs, first match longest."""
+    return tuple(suffix for suffix, _ in pairs), pairs
+
+
+_EED_RULES = _rules(("eed", "ee"))
+
+_STEP1A_RULES = _rules(
     ("sses", "ss"),
     ("ies", "i"),
     ("ss", "ss"),
     ("s", ""),
 )
 
-_STEP2_RULES = (
+_STEP2_RULES = _rules(
     ("ational", "ate"),
     ("ization", "ize"),
     ("iveness", "ive"),
@@ -68,7 +73,7 @@ _STEP2_RULES = (
     ("eli", "e"),
 )
 
-_STEP3_RULES = (
+_STEP3_RULES = _rules(
     ("icate", "ic"),
     ("ative", ""),
     ("alize", "al"),
@@ -78,7 +83,7 @@ _STEP3_RULES = (
     ("ness", ""),
 )
 
-_STEP4_RULES = (
+_STEP4_RULES = _rules(
     ("ement", ""),
     ("ance", ""),
     ("ence", ""),
@@ -101,9 +106,13 @@ _STEP4_RULES = (
 )
 
 
-def _replace(word: str, rules, min_measure: int) -> str:
-    """``word`` with the first rule whose suffix ends it applied, if the
-    measure of the stem before that suffix exceeds ``min_measure``."""
+def _replace(word: str, table, min_measure: int) -> str:
+    """``word`` with the first rule of ``table`` whose suffix ends it applied, if
+    the measure of the stem before that suffix exceeds ``min_measure``; one
+    ``endswith`` call on the table's suffix tuple rejects a word before any scan."""
+    suffixes, rules = table
+    if not word.endswith(suffixes):
+        return word
     for suffix, replacement in rules:
         if word.endswith(suffix):
             stem_ = word[: -len(suffix)]
@@ -115,7 +124,7 @@ def _replace(word: str, rules, min_measure: int) -> str:
 
 def _step1b(word: str) -> str:
     if word.endswith("eed"):
-        return _replace(word, (("eed", "ee"),), 0)
+        return _replace(word, _EED_RULES, 0)
     for suffix in ("ed", "ing"):
         if word.endswith(suffix) and "v" in _form(word[: -len(suffix)]):
             word = word[: -len(suffix)]

@@ -7,20 +7,28 @@ vectorized production code it checks.
 
 from __future__ import annotations
 
+import csv
 import math
 import re
+import string
+from collections import Counter
 
 import numpy as np
 
-from sentinet.metrics import LabelOutOfRange, LengthMismatch
-from sentinet.preprocess import (
-    PAD_ID,
-    filter_twitter_artifacts,
-    remove_punctuation,
-    remove_stop_words,
-    remove_urls,
-    tokenize,
+from sentinet.corpus_io import (
+    EmptyFile,
+    EmptyText,
+    InvalidConfig,
+    LabeledCorpus,
+    LabeledExample,
+    MissingColumn,
+    UnparsableLabel,
+    UnreadableRow,
+    internal_label,
 )
+from sentinet.metrics import LabelOutOfRange, LengthMismatch
+from sentinet.preprocess import PAD_ID, Vocabulary, remove_stop_words, tokenize
+from sentinet.stemming import _form
 
 
 def relative_error(analytic: float, numeric: float) -> float:
@@ -162,13 +170,109 @@ def loop_filter_twitter_artifacts(text: str, drop_hashtag_words: bool = False) -
     return "".join(c if c.isascii() else " " for c in text)
 
 
+def unguarded_remove_urls(text: str) -> str:
+    """``preprocess.remove_urls`` running its pattern on every text, the
+    pattern spelled here with its flags: the reference for the guarded stage."""
+    return re.sub(r"(?:https?://|www\.)\S*", "", text, flags=re.IGNORECASE)
+
+
+_PUNCTUATION_TO_SPACE = str.maketrans({c: " " for c in string.punctuation})
+
+
+def translate_punctuation(text: str) -> str:
+    """``preprocess.remove_punctuation`` as ``str.translate`` over a dict
+    table: the reference for its bytewise form."""
+    return text.translate(_PUNCTUATION_TO_SPACE)
+
+
 def staged_clean_tokens(raw: str, stops, drop_hashtag_words: bool = False) -> list[str]:
-    """``preprocess.clean_tokens`` as its five stages, ``tokenize`` lowercasing
-    a second time: the reference for the cleaner that lowercases once."""
-    text = remove_urls(raw.lower())
-    text = filter_twitter_artifacts(text, drop_hashtag_words)
-    text = remove_punctuation(text)
+    """``preprocess.clean_tokens`` as its five stages in their slow forms: no
+    regex skipped by a guard, the per-character filter, the dict punctuation
+    table and ``tokenize`` lowercasing a second time.  The reference for the
+    cleaner that lowercases once and for the guarded stages."""
+    text = unguarded_remove_urls(raw.lower())
+    text = loop_filter_twitter_artifacts(text, drop_hashtag_words)
+    text = translate_punctuation(text)
     return remove_stop_words(tokenize(text), stops)
+
+
+def per_list_build_vocabulary(token_lists, min_frequency: int = 1) -> Vocabulary:
+    """``preprocess.build_vocabulary`` counting one token list at a time:
+    the reference for its single count over the chained lists."""
+    if min_frequency < 1:
+        raise InvalidConfig(f"min_frequency must be >= 1, got {min_frequency}")
+    counts = Counter()
+    for tokens in token_lists:
+        counts.update(tokens)
+    kept = [t for t, c in counts.items() if c >= min_frequency]
+    kept.sort(key=lambda t: (-counts[t], t))
+    return Vocabulary(kept, min_frequency)
+
+
+def row_encode_and_pad(tokens, vocab, n: int) -> np.ndarray:
+    """One row's ids written into a pad-filled array by a slice, one
+    ``vocab.encode`` call per token: the reference for ``encode_and_pad``."""
+    if n < 1:
+        raise InvalidConfig(f"sequence length must be >= 1, got {n}")
+    ids = np.full(n, PAD_ID, dtype=np.int64)
+    row = [vocab.encode(tok) for tok in tokens[:n]]
+    ids[: len(row)] = row
+    ids.setflags(write=False)
+    return ids
+
+
+def stacked_encode(token_lists, vocab, n: int) -> np.ndarray:
+    """The (rows, n) id matrix as a stack of :func:`row_encode_and_pad`
+    rows: the reference for ``encode_corpus``."""
+    token_lists = list(token_lists)
+    if not token_lists:
+        return np.empty((0, n), dtype=np.int64)
+    return np.stack([row_encode_and_pad(t, vocab, n) for t in token_lists])
+
+
+def linear_replace(word: str, rules, min_measure: int) -> str:
+    """``stemming._replace`` scanning its (suffix, replacement) pairs one
+    ``endswith`` at a time with no up-front reject: its reference."""
+    for suffix, replacement in rules:
+        if word.endswith(suffix):
+            stem_ = word[: -len(suffix)]
+            if _form(stem_).count("vc") > min_measure:
+                return stem_ + replacement
+            return word
+    return word
+
+
+def dictreader_load_corpus(path, text_column: str = "text", label_column: str = "label"):
+    """``corpus_io.load_corpus`` reading rows through ``csv.DictReader``:
+    the reference for its plain ``csv.reader`` loop."""
+    path = str(path)
+    examples = []
+    row_number = -1
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            header = reader.fieldnames
+            row_number = 0
+            if header is None:
+                raise EmptyFile(path)
+            for column in (text_column, label_column):
+                if column not in header:
+                    raise MissingColumn(column, path)
+            for row_number, row in enumerate(reader, start=1):
+                raw_label = row.get(label_column) or ""
+                try:
+                    label = internal_label(raw_label)
+                except KeyError:
+                    raise UnparsableLabel(raw_label, row_number, path) from None
+                text = (row.get(text_column) or "").strip()
+                if not text:
+                    raise EmptyText(row_number, path)
+                examples.append(LabeledExample(text=text, label=label))
+        except csv.Error as exc:
+            raise UnreadableRow(row_number + 1, path, str(exc)) from None
+    if not examples:
+        raise EmptyFile(path)
+    return LabeledCorpus(tuple(examples), source_path=path)
 
 
 def loop_encode(token_lists, vocab, n: int) -> np.ndarray:
