@@ -12,15 +12,15 @@ The prepared corpus directory ``ingest`` writes holds ``encoded.bin`` (the
 corpus cache), ``vocab.json``, ``meta.json`` and ``histogram.csv``.
 
 Settings may come from an INI config file (sections such as [data],
-[model], [train], [split] only group keys); command-line flags override
-the file.  A key is a flag's name without ``--``, with ``-`` or ``_``
-between words (``lr``, ``batch_size``); a key that no command takes is a
-usage error.  A flag that cannot apply to the run is a usage error too
-(``evaluate --split all`` with a split flag, ``evaluate --data`` with a
-column flag); its key in a config file is not, since one file serves
-every command.  ``SETTINGS`` declares each setting once.  There is no
-interactive mode and no wall-clock seeding: identical inputs, flags and
-seeds reproduce identical outputs byte for byte.
+[model], [train], [split] or [DEFAULT] only group keys); command-line flags
+override the file.  A key is a flag's name without ``--``, with ``-`` or
+``_`` between words (``lr``, ``batch_size``); a key that no command takes,
+or one set twice, is a usage error.  A flag that cannot apply to the run
+is a usage error too (``evaluate --split all`` with a split flag,
+``evaluate --data`` with a column flag); its key in a config file is not,
+since one file serves every command.  ``SETTINGS`` declares each setting
+once.  There is no interactive mode and no wall-clock seeding: identical
+inputs, flags and seeds reproduce identical outputs byte for byte.
 
 Exit codes: 0 success; 1 usage error, which is a bad flag or config file
 or a setting outside its range (every ``InvalidConfig``); 2 I/O or format
@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from . import corpus_io, metrics
 from .corpus_io import CorpusError, InvalidConfig, SplitSpec
-from .layers import IdOutOfRange
+from .layers import ACTIVATIONS, IdOutOfRange
 from .model_training import (
     VARIANTS,
     Model,
@@ -115,7 +115,7 @@ SETTINGS = (
     Setting("window", ("train",), "convolution window width", ModelConfig),
     Setting("filters", ("train",), "convolution filter count", ModelConfig),
     Setting("hidden", ("train",), "LSTM hidden size", ModelConfig),
-    Setting("activation", ("train",), "tanh or sigmoid", ModelConfig),
+    Setting("activation", ("train",), f"conv activation: {', '.join(ACTIVATIONS)}", ModelConfig),
     Setting("epochs", ("train",), "training epochs, 0 = init only", TrainConfig),
     Setting("batch_size", ("train",), "mini-batch size", TrainConfig),
     Setting("lr", ("train",), "learning rate", TrainConfig, "learning_rate"),
@@ -132,20 +132,25 @@ SETTINGS = (
 
 
 def _load_config(path: str | None) -> dict[str, str]:
-    """Flatten an INI file into {key: raw string}; sections only group keys.
-    A key no command takes is a usage error."""
+    """Flatten an INI file into {key: raw string}; sections, [DEFAULT] too,
+    only group keys.  A key no command takes, or one set twice, is a usage
+    error."""
     if path is None:
         return {}
-    parser = configparser.ConfigParser()
+    # no header can name the default section "", so [DEFAULT] is a plain one
+    parser = configparser.ConfigParser(default_section="")
+    flat: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         try:
             parser.read_file(fh)
+            for section in parser.sections():
+                for key, value in parser.items(section):
+                    key = key.replace("-", "_")
+                    if key in flat:
+                        raise _UsageError(f"config key {key} is set more than once")
+                    flat[key] = value
         except configparser.Error as exc:
             raise _UsageError("; ".join(str(exc).splitlines())) from None
-    flat: dict[str, str] = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            flat[key.replace("-", "_")] = value
     unknown = sorted(flat.keys() - {s.key for s in SETTINGS})
     if unknown:
         raise _UsageError(f"config key {unknown[0]} is not a setting of any command")

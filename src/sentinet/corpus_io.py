@@ -15,12 +15,16 @@ sorted keys:
 The magic and version name a format, whose module defines its header
 fields and payload: the model file in :mod:`sentinet.model_training`, the
 corpus cache in :mod:`sentinet.preprocess`.
+
+Every table a run writes is :func:`csv_text` of its rows: ``\n`` line ends
+and a float as its ``repr``, so NaN is ``nan``.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import random
 import struct
@@ -188,10 +192,9 @@ def deduplicate(corpus: LabeledCorpus) -> LabeledCorpus:
     return LabeledCorpus(tuple(kept), source_path=corpus.source_path)
 
 
-def class_histogram(corpus) -> tuple[int, int, int]:
-    """Counts per class in (negative, neutral, positive) order, of a corpus
-    or a sequence of labels; IndexError for a label outside 0, 1, 2."""
-    labels = corpus.labels() if isinstance(corpus, LabeledCorpus) else corpus
+def class_histogram(labels) -> tuple[int, int, int]:
+    """Counts per class in (negative, neutral, positive) order of a sequence
+    of labels; IndexError for a label outside 0, 1, 2."""
     labels = np.asarray(labels, dtype=np.int64)
     outside = labels[(labels < 0) | (labels > 2)]
     if outside.size:
@@ -228,7 +231,7 @@ def stratified_indices(labels, spec: SplitSpec):
     rng = random.Random(spec.seed)
     parts: tuple[list[int], list[int], list[int]] = ([], [], [])
     for label in (NEGATIVE, NEUTRAL, POSITIVE):
-        idx = [i for i, lab in enumerate(labels) if lab == label]
+        idx = np.flatnonzero(np.asarray(labels) == label).tolist()
         if not idx:
             continue
         rng.shuffle(idx)
@@ -243,12 +246,16 @@ def stratified_indices(labels, spec: SplitSpec):
     return tuple(sorted(p) for p in parts)
 
 
+def csv_text(rows) -> str:
+    """``rows`` as CSV text, in the dialect of every table a run writes."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def histogram_to_csv(histogram: tuple[int, int, int]) -> str:
     """Histogram export: header plus one row per class in -1,0,1 order."""
-    lines = ["class,count"]
-    for label, count in zip(CLASS_NAMES, histogram):
-        lines.append(f"{label},{count}")
-    return "\n".join(lines) + "\n"
+    return csv_text([("class", "count"), *zip(CLASS_NAMES, histogram)])
 
 
 # --- checksummed container (layout in the module docstring) ----------------

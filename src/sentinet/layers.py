@@ -6,7 +6,8 @@ The classifier is a stack of these stages:
   (B, n, k) sentence matrices (the pad row is frozen at zero),
 * a 1-D "valid" convolution sliding m window filters of width h over each
   sentence matrix, emitting one feature per (filter, position), so the
-  output is a (B, n-h+1, m) batch of m-channel step sequences,
+  output is a (B, n-h+1, m) batch of m-channel step sequences, activated
+  by a function that ``ACTIVATIONS`` names (the one list of the choices),
 * an LSTM consuming each step sequence in order and returning its final
   hidden state, (B, d_h),
 * a parameterless mean over positions, (B, steps, m) -> (B, m), which
@@ -50,19 +51,11 @@ class EmptySequence(ValueError):
     pass
 
 
-def _activation(name: str):
-    if name == "tanh":
-        return np.tanh
-    if name == "sigmoid":
-        return tc.sigmoid
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _activation_grad(name: str, out: np.ndarray) -> np.ndarray:
-    # derivative expressed through the cached activation output
-    if name == "tanh":
-        return 1.0 - out * out
-    return out * (1.0 - out)
+# the convolution's activations by name: (f, f'), f' taken of f's output
+ACTIVATIONS = {
+    "tanh": (np.tanh, lambda out: 1.0 - out * out),
+    "sigmoid": (tc.sigmoid, lambda out: out * (1.0 - out)),
+}
 
 
 class RowSparse(NDArrayOperatorsMixin):
@@ -125,6 +118,8 @@ class ConvLayer:
     def __init__(self, filters: np.ndarray, bias: np.ndarray, activation: str = "tanh"):
         if filters.ndim != 3:
             raise ValueError(f"filters must be (m, h, k), got {filters.shape}")
+        if activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {activation!r}")
         self.filters = filters
         self.bias = bias
         self.activation = activation
@@ -137,14 +132,14 @@ class ConvLayer:
         # (B, n-h+1, h*k): row t holds the window starting at position t
         cols = np.lib.stride_tricks.sliding_window_view(sentences, (h, k), axis=(1, 2))
         cols = cols.reshape(batch, n - h + 1, h * k)
-        out = _activation(self.activation)(cols @ self.filters.reshape(m, h * k).T + self.bias)
+        out = ACTIVATIONS[self.activation][0](cols @ self.filters.reshape(m, h * k).T + self.bias)
         return out, (cols, out)
 
     def backward(self, cache, d_out):
         cols, out = cache
         m, h, k = self.filters.shape
         batch, steps, _ = cols.shape
-        d_pre = d_out * _activation_grad(self.activation, out)
+        d_pre = d_out * ACTIVATIONS[self.activation][1](out)
         flat = d_pre.reshape(-1, m)
         d_filters = (flat.T @ cols.reshape(-1, h * k)).reshape(m, h, k)
         per_window = (d_pre @ self.filters.reshape(m, h * k)).reshape(batch, steps, h, k)

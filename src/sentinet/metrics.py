@@ -2,7 +2,8 @@
 
 The confusion matrix is oriented rows = predicted, columns = actual.
 Multiclass scores reduce each class one-vs-rest to TP/FP/FN/TN counts and
-macro-average the per-class values.  AUC here is the single-threshold
+macro-average the per-class values; the fields of ``ClassScores`` are the
+report's measures, in column order.  AUC here is the single-threshold
 balanced mean of sensitivity and specificity,
 
     AUC = (R - FP/(FP+TN) + 1) / 2,
@@ -13,11 +14,11 @@ is reported as 0 by convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .corpus_io import CLASS_NAMES
+from .corpus_io import CLASS_NAMES, csv_text
 
 
 class LengthMismatch(ValueError):
@@ -125,45 +126,26 @@ class MacroReport:
 
 def macro_report(cm: ConfusionMatrix3) -> MacroReport:
     """Per-class one-vs-rest scores, their unweighted means, and accuracy."""
-    per_class = []
-    for label in range(3):
-        counts = one_vs_rest(cm, label)
-        per_class.append(
-            ClassScores(
-                precision=precision(counts),
-                recall=recall(counts),
-                f1=f1(counts),
-                auc=auc(counts),
-            )
-        )
-    macro = ClassScores(
-        precision=sum(s.precision for s in per_class) / 3.0,
-        recall=sum(s.recall for s in per_class) / 3.0,
-        f1=sum(s.f1 for s in per_class) / 3.0,
-        auc=sum(s.auc for s in per_class) / 3.0,
-    )
+    binary = [one_vs_rest(cm, label) for label in range(3)]
+    per_class = tuple(ClassScores(precision(c), recall(c), f1(c), auc(c)) for c in binary)
+    macro = ClassScores(*(sum(column) / 3.0 for column in zip(*map(astuple, per_class))))
     overall = _ratio(float(np.trace(cm.counts)), cm.total)
-    return MacroReport(per_class=tuple(per_class), macro=macro, accuracy=overall)
+    return MacroReport(per_class=per_class, macro=macro, accuracy=overall)
 
 
 def report_to_csv(report: MacroReport) -> str:
     """Report export: one row per class (-1, 0, 1), a macro row, then accuracy."""
-    lines = ["class,precision,recall,f1,auc"]
-    for name, scores in zip(CLASS_NAMES, report.per_class):
-        lines.append(
-            f"{name},{scores.precision!r},{scores.recall!r},"
-            f"{scores.f1!r},{scores.auc!r}"
-        )
-    m = report.macro
-    lines.append(f"macro,{m.precision!r},{m.recall!r},{m.f1!r},{m.auc!r}")
-    lines.append(f"accuracy,{report.accuracy!r}")
-    return "\n".join(lines) + "\n"
+    scores = zip((*CLASS_NAMES, "macro"), (*report.per_class, report.macro))
+    return csv_text([
+        ("class", *(f.name for f in fields(ClassScores))),
+        *((name, *astuple(s)) for name, s in scores),
+        ("accuracy", report.accuracy),
+    ])
 
 
 def confusion_to_csv(cm: ConfusionMatrix3) -> str:
     """3x3 export with labeled axes; rows are predicted classes."""
-    lines = ["predicted\\actual," + ",".join(CLASS_NAMES)]
-    for p in range(3):
-        row = ",".join(str(int(cm.counts[p, a])) for a in range(3))
-        lines.append(f"{CLASS_NAMES[p]},{row}")
-    return "\n".join(lines) + "\n"
+    return csv_text([
+        ("predicted\\actual", *CLASS_NAMES),
+        *((name, *row) for name, row in zip(CLASS_NAMES, cm.counts.tolist())),
+    ])

@@ -48,10 +48,12 @@ from .corpus_io import (  # the errors of load_model and the configs are importa
     CorruptFile,
     FormatVersionMismatch,
     InvalidConfig,
+    csv_text,
     read_container,
     write_container,
 )
 from .layers import (
+    ACTIVATIONS,
     ConvLayer,
     DenseSoftmax,
     EmbeddingLayer,
@@ -151,14 +153,15 @@ class ModelConfig:
             raise InvalidConfig(
                 f"window {self.window} exceeds sequence length {self.seq_len}"
             )
-        if self.activation not in ("tanh", "sigmoid"):
-            raise InvalidConfig(f"activation must be tanh or sigmoid: {self.activation!r}")
+        if self.activation not in ACTIVATIONS:
+            choices = " or ".join(ACTIVATIONS)
+            raise InvalidConfig(f"activation must be {choices}: {self.activation!r}")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings: a finite learning rate >= 0, Adam's betas in
-    [0, 1) and a finite epsilon > 0; InvalidConfig otherwise.
+    """Optimization settings: a seed >= 0, a finite learning rate >= 0,
+    Adam's betas in [0, 1) and a finite epsilon > 0; InvalidConfig otherwise.
 
     epochs=0 is allowed and means "initialize only": useful for comparing
     a trained run against its starting parameters.
@@ -175,8 +178,9 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise InvalidConfig(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise InvalidConfig(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
@@ -209,13 +213,8 @@ class EpochHistory:
         return len(self.records)
 
     def to_csv(self) -> str:
-        lines = ["epoch,train_loss,train_acc,val_loss,val_acc"]
-        for r in self.records:
-            lines.append(
-                f"{r.epoch},{r.train_loss!r},{r.train_accuracy!r},"
-                f"{r.val_loss!r},{r.val_accuracy!r}"
-            )
-        return "\n".join(lines) + "\n"
+        header = ("epoch", "train_loss", "train_acc", "val_loss", "val_acc")
+        return csv_text([header, *map(astuple, self.records)])
 
 
 class Model:
@@ -292,8 +291,8 @@ def _make_stages(config: ModelConfig, vocab_size: int, param) -> dict:
 
 def _xavier(rng: tc.Rng, shape) -> np.ndarray:
     """Uniform in +-sqrt(6 / (rows + cols)), the first axis being the rows."""
-    rows, cols = shape[0], math.prod(shape[1:])
-    return tc.init_uniform(rng, rows, cols, math.sqrt(6.0 / (rows + cols))).reshape(shape)
+    scale = math.sqrt(6.0 / (shape[0] + math.prod(shape[1:])))
+    return rng.uniform(-scale, scale, shape)
 
 
 def build_model(
@@ -344,27 +343,16 @@ def sgd_step(params: dict, grads: dict, learning_rate: float) -> None:
         params[name][index] -= learning_rate * g
 
 
-@dataclass
 class AdamState:
-    """Adam's two moments per parameter and the steps taken so far.  Two
-    scratch arrays per parameter, ``scratch[name]``, hold the update while
-    adam_step builds it."""
+    """Adam's two moments per parameter, zero at first, and the steps taken
+    so far.  Two scratch arrays per parameter, ``scratch[name]``, hold the
+    update while adam_step builds it."""
 
-    first_moment: dict[str, np.ndarray]
-    second_moment: dict[str, np.ndarray]
-    step: int = 0
-
-    def __post_init__(self):
-        self.scratch = {
-            n: (np.empty_like(m), np.empty_like(m)) for n, m in self.first_moment.items()
-        }
-
-    @classmethod
-    def for_params(cls, params: dict) -> "AdamState":
-        return cls(
-            first_moment={n: np.zeros_like(p) for n, p in params.items()},
-            second_moment={n: np.zeros_like(p) for n, p in params.items()},
-        )
+    def __init__(self, params: dict):
+        self.first_moment = {n: np.zeros_like(p) for n, p in params.items()}
+        self.second_moment = {n: np.zeros_like(p) for n, p in params.items()}
+        self.scratch = {n: (np.empty_like(p), np.empty_like(p)) for n, p in params.items()}
+        self.step = 0
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> None:
@@ -440,7 +428,7 @@ def train(
     if len(train_corpus) == 0:
         raise ValueError("training corpus is empty")
     params = model.parameters()
-    adam_state = AdamState.for_params(params) if cfg.optimizer == "adam" else None
+    adam_state = AdamState(params) if cfg.optimizer == "adam" else None
     shuffle_rng = tc.Rng(cfg.seed).split("epoch-shuffle")
     history = EpochHistory()
     have_val = val_corpus is not None and len(val_corpus) > 0

@@ -233,8 +233,8 @@ def build_vocabulary(token_lists, min_frequency: int = 1) -> Vocabulary:
     if min_frequency < 1:
         raise InvalidConfig(f"min_frequency must be >= 1, got {min_frequency}")
     counts = Counter(chain.from_iterable(token_lists))
-    kept = [t for t, c in counts.items() if c >= min_frequency]
-    kept.sort(key=lambda t: (-counts[t], t))
+    kept = sorted(t for t, c in counts.items() if c >= min_frequency)
+    kept.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay in token order
     return Vocabulary(kept, min_frequency)
 
 

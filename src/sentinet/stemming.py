@@ -119,7 +119,6 @@ def _replace(word: str, table, min_measure: int) -> str:
             if _form(stem_).count("vc") > min_measure:
                 return stem_ + replacement
             return word
-    return word
 
 
 def _step1b(word: str) -> str:

@@ -1,5 +1,5 @@
-"""Numeric helpers shared by the layers: the logistic function and seeded
-initialization.
+"""Numeric helpers: the logistic function, and the seeded random source
+from which ``model_training.build_model`` draws every initial weight.
 
 Arrays are plain ``numpy.float64``; shape errors in parameter updates
 surface as :class:`ShapeMismatch` instead of silent broadcasting.
@@ -59,9 +59,3 @@ class Rng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-
-def init_uniform(rng: Rng, rows: int, cols: int, scale: float) -> np.ndarray:
-    """rows x cols matrix with i.i.d. entries uniform in [-scale, +scale]."""
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    return rng.uniform(-scale, scale, (rows, cols))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import random
 import re
 import string
 from collections import Counter
@@ -24,6 +25,7 @@ from sentinet.corpus_io import (
     MissingColumn,
     UnparsableLabel,
     UnreadableRow,
+    _allocate,
     internal_label,
 )
 from sentinet.metrics import LabelOutOfRange, LengthMismatch
@@ -207,6 +209,25 @@ def per_list_build_vocabulary(token_lists, min_frequency: int = 1) -> Vocabulary
     kept = [t for t, c in counts.items() if c >= min_frequency]
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocabulary(kept, min_frequency)
+
+
+def loop_stratified_indices(labels, spec) -> tuple:
+    """``corpus_io.stratified_indices`` selecting each class's indices with a
+    Python loop, without the empty-partition check: the reference for its
+    array selection."""
+    fractions = (spec.train_fraction, spec.val_fraction, spec.test_fraction)
+    rng = random.Random(spec.seed)
+    parts: tuple[list[int], list[int], list[int]] = ([], [], [])
+    for label in range(3):
+        idx = [i for i, lab in enumerate(labels) if lab == label]
+        if not idx:
+            continue
+        rng.shuffle(idx)
+        start = 0
+        for part, count in enumerate(_allocate(len(idx), fractions)):
+            parts[part].extend(idx[start : start + count])
+            start += count
+    return tuple(sorted(p) for p in parts)
 
 
 def row_encode_and_pad(tokens, vocab, n: int) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 
 from sentinet import cli
 from sentinet.corpus_io import CorruptFile, SplitSpec, stratified_indices
-from sentinet.model_training import NonFiniteLoss, load_model
+from sentinet.model_training import NonFiniteLoss, load_model, save_model
 from sentinet.preprocess import EncodedCorpus, read_corpus_cache, write_corpus_cache
 
 from conftest import make_toy_texts
@@ -186,6 +186,20 @@ class TestTrain:
         model = load_model(out / "model.bin")
         assert model.config.variant == "cnn"  # from the file
 
+    def test_default_section_keys_apply(self, prepared, tmp_path):
+        _, data_dir = prepared
+        ini = tmp_path / "defaults.ini"
+        ini.write_text("[DEFAULT]\nepochs = 1\nvariant = cnn\n", encoding="utf-8")
+        out = tmp_path / "cfg"
+        argv = ["train", "--data", str(data_dir), "--out-dir", str(out), "--config", str(ini)]
+        assert cli.main([*argv, "--embed-dim", "4", "--filters", "2", "--hidden", "2"]) == 0
+        assert len((out / "history.csv").read_text("utf-8").splitlines()) == 2
+        assert load_model(out / "model.bin").config.variant == "cnn"
+
+    def test_negative_split_seed_is_a_seed(self, prepared, tmp_path):
+        _, data_dir = prepared
+        assert cli.main(train_args(data_dir, tmp_path / "run", epochs=1, split_seed=-1)) == 0
+
 
 @pytest.fixture(scope="module")
 def trained(prepared, tmp_path_factory):
@@ -306,6 +320,38 @@ class TestEvaluate:
         )
         assert code == 2
         assert f"outside a vocabulary of {vocab_size}" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("per_class, seq_len, message", [
+        (2, "12", "encoded with a different vocabulary"),
+        (10, "10", "cache sequence length 10 != model 12"),
+    ], ids=["vocabulary", "seq-len"])
+    def test_data_prepared_otherwise_exits_2(self, trained, tmp_path, capsys,
+                                             per_class, seq_len, message):
+        csv_path, other = write_toy_csv(tmp_path / "toy.csv", per_class), tmp_path / "other"
+        assert cli.main(["ingest", "--csv", str(csv_path), "--out-dir", str(other),
+                         "--seq-len", seq_len]) == 0
+        capsys.readouterr()
+        out = tmp_path / "r"
+        code = cli.main(
+            ["evaluate", "--model", str(trained), "--data", str(other), "--out-dir", str(out)]
+        )
+        assert code == 2
+        assert message in one_error_line(capsys)
+        assert not out.exists()
+
+    def test_csv_with_a_model_without_pipeline_exits_2(self, prepared, trained, tmp_path,
+                                                        capsys):
+        csv_path, _ = prepared
+        model = load_model(trained)
+        model.pipeline = None
+        bare = tmp_path / "bare.bin"
+        save_model(model, bare)
+        code = cli.main(
+            ["evaluate", "--model", str(bare), "--csv", str(csv_path), "--out-dir",
+             str(tmp_path / "r")]
+        )
+        assert code == 2
+        assert "model lacks pipeline settings" in one_error_line(capsys)
 
     def test_missing_model_exits_2(self, prepared, tmp_path):
         _, data_dir = prepared
@@ -572,7 +618,8 @@ class TestUsageErrors:
     @pytest.mark.parametrize("text", [
         "epochs = 3\n",
         "[train]\nepochs = 3\nepochs = 4\n",
-    ], ids=["no-section", "duplicate-key"])
+        "[train]\nlr = 5%\n",
+    ], ids=["no-section", "duplicate-key", "bad-interpolation"])
     def test_malformed_config_file_exits_1(self, prepared, tmp_path, capsys, text):
         csv_path, _ = prepared
         ini = tmp_path / "bad.ini"
@@ -583,6 +630,25 @@ class TestUsageErrors:
         )
         assert code == 1
         one_error_line(capsys, prefix="usage error: ")
+
+    @pytest.mark.parametrize("text, named", [
+        ("[DEFAULT]\nepochs = 1\nbogus = 3\n", "config key bogus is not a setting"),
+        ("[model]\nepochs = 1\n[train]\nepochs = 2\n", "config key epochs is set more"),
+        ("[train]\nepochs = 1\n[DEFAULT]\nepochs = 1\n", "config key epochs is set more"),
+        ("[data]\nseq-len = 8\nseq_len = 9\n", "config key seq_len is set more"),
+        ("[train]\nbeta1 = high\n", "config key beta1: bad value 'high'"),
+    ], ids=["default-section-unknown", "two-sections", "default-and-section",
+            "dash-and-underscore", "bad-value"])
+    def test_config_file_misread_exits_1(self, prepared, tmp_path, capsys, text, named):
+        """A [DEFAULT] key is checked like any other, a key is set at most
+        once across the file, and a value must parse as its setting's type."""
+        _, data_dir = prepared
+        ini = tmp_path / "run.ini"
+        ini.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(train_args(data_dir, out, config=ini)) == 1
+        assert named in one_error_line(capsys, prefix="usage error: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["epoch = 1", "batchsize = 4", "learning_rate = 0.5"])
     def test_unknown_config_key_exits_1(self, prepared, tmp_path, capsys, key):
@@ -603,6 +669,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("case", [
         "train --window 99",
         "train --epochs -1",
+        "train --seed -1",
         "train --batch-size 0",
         "train --lr -1",
         "train --lr nan",

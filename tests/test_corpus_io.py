@@ -1,6 +1,10 @@
 import csv
+import hashlib
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sentinet.corpus_io import (
     NEGATIVE,
@@ -9,6 +13,7 @@ from sentinet.corpus_io import (
     DegenerateSplit,
     EmptyFile,
     EmptyText,
+    CorruptFile,
     InvalidConfig,
     LabeledCorpus,
     LabeledExample,
@@ -22,8 +27,11 @@ from sentinet.corpus_io import (
     histogram_to_csv,
     internal_label,
     load_corpus,
+    read_container,
     stratified_indices,
 )
+
+from oracles import loop_stratified_indices
 
 
 def write_csv(path, rows, header=("text", "label")):
@@ -129,13 +137,13 @@ class TestLabels:
 
 class TestHistogram:
     def test_counts(self):
-        assert class_histogram(corpus_of([0, 0, 1, 2])) == (2, 1, 1)
+        assert class_histogram([0, 0, 1, 2]) == (2, 1, 1)
 
     def test_empty(self):
-        assert class_histogram(corpus_of([])) == (0, 0, 0)
+        assert class_histogram([]) == (0, 0, 0)
 
     def test_single_class(self):
-        assert class_histogram(corpus_of([NEUTRAL] * 100)) == (0, 100, 0)
+        assert class_histogram([NEUTRAL] * 100) == (0, 100, 0)
 
     def test_csv_export(self):
         text = histogram_to_csv((2, 1, 1))
@@ -215,6 +223,16 @@ class TestStratifiedSplit:
         train, val, test = stratified_indices([2, 2, 2, 2], SplitSpec(0.5, 0.25, seed=0))
         assert len(train) == 2 and len(val) == 1 and len(test) == 1
 
+    @given(st.lists(st.integers(0, 2), max_size=60), st.integers(0, 2**32))
+    def test_partitions_equal_the_loop_selection(self, labels, seed):
+        spec = SplitSpec(0.5, 0.2, seed=seed)
+        try:
+            got = [stratified_indices(y, spec) for y in (labels, np.asarray(labels, dtype=np.int64))]
+        except DegenerateSplit:
+            return
+        expected = loop_stratified_indices(labels, spec)
+        assert got == [expected, expected]
+
     def test_spec_validation(self):
         with pytest.raises(InvalidConfig):
             SplitSpec(train_fraction=0.0)
@@ -236,3 +254,14 @@ def test_deduplicate_keeps_first_occurrence():
     deduped = deduplicate(corpus)
     assert len(deduped) == 2
     assert deduped.examples[0].label == 0
+
+
+@pytest.mark.parametrize("header", [b"{not json", b"\xff{}", b"[1, 2]"],
+                         ids=["not-json", "not-utf8", "not-an-object"])
+def test_container_with_a_sealed_malformed_header_is_corrupt(tmp_path, header):
+    """A valid checksum does not make a header that is not a JSON object readable."""
+    body = struct.pack("<4sIQ", b"TEST", 1, len(header)) + header + b"payload"
+    path = tmp_path / "file.bin"
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(CorruptFile, match="malformed header"):
+        read_container(path, b"TEST", 1, "test")

@@ -130,6 +130,14 @@ class TestEmbedding:
 
 
 class TestConv:
+    @pytest.mark.parametrize("filters, activation, message", [
+        (np.zeros((2, 3, 4)), "relu", "unknown activation 'relu'"),
+        (np.zeros((2, 12)), "tanh", r"filters must be \(m, h, k\)"),
+    ], ids=["unknown-activation", "filters-not-3d"])
+    def test_rejected_when_built(self, filters, activation, message):
+        with pytest.raises(ValueError, match=message):
+            ConvLayer(filters, np.zeros(2), activation=activation)
+
     def test_output_length(self):
         layer = ConvLayer(Rng(1).uniform(-1, 1, (4, 3, 5)), np.zeros(4))
         out, _ = layer.forward(Rng(2).uniform(-1, 1, (2, 10, 5)))

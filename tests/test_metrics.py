@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from sentinet.corpus_io import LabeledCorpus, LabeledExample, class_histogram
 from sentinet.metrics import (
     BinaryCounts,
+    ClassScores,
     ConfusionMatrix3,
     LabelOutOfRange,
     LengthMismatch,
@@ -73,13 +74,18 @@ class TestConfusion:
             tuple(LabeledExample(f"t{i}", label) for i, label in enumerate(labels)), "mem"
         )
         expected = tuple(int(n) for n in loop_confusion(labels, labels).diagonal())
-        assert class_histogram(corpus) == class_histogram(labels) == expected
+        assert class_histogram(corpus.labels()) == class_histogram(labels) == expected
         assert class_histogram(np.asarray(labels)) == expected
 
     @pytest.mark.parametrize("labels", [[0, 3], [-1, 1]])
     def test_class_histogram_label_out_of_range(self, labels):
         with pytest.raises(IndexError):
             class_histogram(labels)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3, 1), (9,)])
+    def test_matrix_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="expected 3x3 counts"):
+            ConfusionMatrix3(np.zeros(shape, dtype=np.int64))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -174,6 +180,25 @@ class TestMacroReport:
         report = macro_report(cm)
         assert report.macro.precision == pytest.approx(report.per_class[0].precision)
         assert report.macro.f1 == pytest.approx(report.per_class[0].f1)
+
+    @given(st.lists(st.integers(0, 60), min_size=9, max_size=9))
+    def test_scores_are_the_measures_and_their_means(self, cells):
+        """Bit for bit: each class's measures, and each column's mean summed
+        in class order."""
+        cm = cm_from(np.reshape(cells, (3, 3)))
+        report = macro_report(cm)
+        for label, scores in enumerate(report.per_class):
+            c = one_vs_rest(cm, label)
+            assert scores == ClassScores(
+                precision=precision(c), recall=recall(c), f1=f1(c), auc=auc(c)
+            )
+        per = report.per_class
+        assert report.macro == ClassScores(
+            precision=sum(s.precision for s in per) / 3.0,
+            recall=sum(s.recall for s in per) / 3.0,
+            f1=sum(s.f1 for s in per) / 3.0,
+            auc=sum(s.auc for s in per) / 3.0,
+        )
 
     def test_overall_accuracy_is_trace_over_total(self):
         cm = cm_from([[3, 1, 0], [2, 4, 1], [0, 1, 5]])

@@ -34,7 +34,7 @@ from sentinet.model_training import (
     train,
 )
 from sentinet.preprocess import EncodedCorpus, build_vocabulary
-from sentinet.tensor_core import Rng, ShapeMismatch, init_uniform
+from sentinet.tensor_core import Rng, ShapeMismatch
 
 from conftest import encode_toy_corpus, make_toy_texts
 
@@ -91,7 +91,7 @@ class TestBuildModel:
 
         def xavier(label, rows, cols):
             scale = math.sqrt(6.0 / (rows + cols))
-            return init_uniform(Rng(7).split(label), rows, cols, scale)
+            return Rng(7).split(label).uniform(-scale, scale, (rows, cols))
 
         table = xavier("embedding.table", len(vocab), SMALL["embed_dim"])
         table[0] = 0.0
@@ -233,7 +233,7 @@ class TestOptimizers:
     def test_adam_single_step_hand_evaluated(self):
         # g=1, zero state: m_hat/sqrt(v_hat) = 1, so theta drops by ~lr
         params = {"w": np.array([0.5])}
-        state = AdamState.for_params(params)
+        state = AdamState(params)
         cfg = TrainConfig(learning_rate=0.1)
         adam_step(params, {"w": np.array([1.0])}, state, cfg)
         assert params["w"][0] == pytest.approx(0.5 - 0.1, abs=1e-8)
@@ -241,13 +241,13 @@ class TestOptimizers:
 
     def test_adam_zero_learning_rate_is_identity(self):
         params = {"w": np.array([2.0])}
-        state = AdamState.for_params(params)
+        state = AdamState(params)
         adam_step(params, {"w": np.array([3.0])}, state, TrainConfig(learning_rate=0.0))
         assert params["w"][0] == 2.0
 
     def test_adam_shape_mismatch(self):
         params = {"w": np.zeros((2, 2))}
-        state = AdamState.for_params(params)
+        state = AdamState(params)
         with pytest.raises(ShapeMismatch):
             adam_step(params, {"w": np.zeros(4)}, state, TrainConfig())
 
@@ -313,6 +313,30 @@ class TestTrain:
         model = build_model(config, vocab, Rng(1))
         _, history = train(model, corpus, None, TrainConfig(epochs=0))
         assert len(history) == 0
+
+    def test_empty_training_corpus_rejected(self):
+        model, _ = small_model()
+        empty = EncodedCorpus(np.empty((0, 7), dtype=np.int64), np.empty(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="training corpus is empty"):
+            train(model, empty, None, TrainConfig(epochs=1))
+
+    def test_without_shuffle_batches_follow_corpus_order(self, toy_corpus):
+        corpus, vocab, _ = toy_corpus
+        config = ModelConfig(variant="cnn", seq_len=corpus.n, embed_dim=4,
+                             window=2, filters=2, hidden=2)
+        model = build_model(config, vocab, Rng(1))
+        batches, forward_backward = [], model.forward_backward
+
+        def recording(ids, labels):
+            batches.append((ids, labels))
+            return forward_backward(ids, labels)
+
+        model.forward_backward = recording
+        train(model, corpus, None, TrainConfig(epochs=2, batch_size=7, shuffle=False))
+        assert [len(ids) for ids, _ in batches] == [7, 7, 7, 7, 2] * 2
+        for epoch in (batches[:5], batches[5:]):
+            npt.assert_array_equal(np.concatenate([ids for ids, _ in epoch]), corpus.sequences)
+            npt.assert_array_equal(np.concatenate([y for _, y in epoch]), corpus.labels)
 
     # sha256 of the file save_model writes after this training with a dense
     # V x k embedding gradient and the whole-tensor optimizers of oracles.py:

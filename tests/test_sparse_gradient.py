@@ -78,7 +78,7 @@ def test_optimizer_steps_are_the_dense_ones(
     table[PAD_ID] = 0.0
     params = {"embedding.table": table, "head.weights": gen.uniform(-1.0, 1.0, (3, k))}
     expected = {name: p.copy() for name, p in params.items()}
-    state, expected_state = AdamState.for_params(params), AdamState.for_params(expected)
+    state, expected_state = AdamState(params), AdamState(expected)
     cfg = TrainConfig(learning_rate=learning_rate, beta1=beta1, beta2=beta2)
     layer = EmbeddingLayer(table)
     for _ in range(steps):
@@ -110,7 +110,7 @@ def test_underflowed_first_moment_keeps_its_sign():
     numbers, and the parameters come out bit for bit the same."""
     params = {"t": np.array([[0.5], [-0.25]])}
     expected = {"t": params["t"].copy()}
-    state, expected_state = AdamState.for_params(params), AdamState.for_params(expected)
+    state, expected_state = AdamState(params), AdamState(expected)
     for s in (state, expected_state):
         s.first_moment["t"][1] = -1e-3
     cfg = TrainConfig(learning_rate=0.1, beta1=0.0)

@@ -1,8 +1,7 @@
 import numpy as np
 import numpy.testing as npt
-import pytest
 
-from sentinet.tensor_core import Rng, init_uniform, sigmoid
+from sentinet.tensor_core import Rng, sigmoid
 
 
 class TestElementwise:
@@ -56,16 +55,16 @@ class TestSigmoidOut:
 
 class TestRng:
     def test_same_seed_bitwise_equal(self):
-        a = init_uniform(Rng(123), 5, 7, 0.3)
-        b = init_uniform(Rng(123), 5, 7, 0.3)
+        a = Rng(123).uniform(-0.3, 0.3, (5, 7))
+        b = Rng(123).uniform(-0.3, 0.3, (5, 7))
         npt.assert_array_equal(a, b)
 
     def test_range(self):
-        m = init_uniform(Rng(9), 20, 20, 0.1)
+        m = Rng(9).uniform(-0.1, 0.1, (20, 20))
         assert np.all(np.abs(m) <= 0.1)
 
     def test_sample_mean_near_zero(self):
-        m = init_uniform(Rng(2024), 100, 100, 1.0)
+        m = Rng(2024).uniform(-1.0, 1.0, (100, 100))
         assert abs(m.mean()) < 0.05
 
     def test_split_streams_differ(self):
@@ -78,8 +77,4 @@ class TestRng:
         a = Rng(7).split("alpha").uniform(0, 1, 8)
         b = Rng(7).split("alpha").uniform(0, 1, 8)
         npt.assert_array_equal(a, b)
-
-    def test_scale_must_be_positive(self):
-        with pytest.raises(ValueError):
-            init_uniform(Rng(0), 2, 2, 0.0)
 
