@@ -10,40 +10,9 @@ Library layout:
 * :mod:`sentinet.model_training`  variant stage table, training loop, model files
 * :mod:`sentinet.metrics`         confusion matrix and the five measures
 * :mod:`sentinet.cli`             the ``sentinet`` batch command
+
+Names are imported from their modules (``from sentinet.model_training
+import train``); the package root holds only ``__version__``.
 """
 
-from .corpus_io import (
-    LabeledCorpus,
-    LabeledExample,
-    SplitSpec,
-    class_histogram,
-    load_corpus,
-)
-from .layers import ConvLayer, DenseSoftmax, EmbeddingLayer, LstmLayer
-from .metrics import ConfusionMatrix3, confusion, macro_report
-from .model_training import (
-    EpochHistory,
-    Model,
-    ModelConfig,
-    TrainConfig,
-    build_model,
-    evaluate,
-    load_model,
-    predict_text,
-    save_model,
-    train,
-)
-from .preprocess import (
-    PipelineConfig,
-    StopWordList,
-    Vocabulary,
-    build_vocabulary,
-    default_stop_words,
-    encode_and_pad,
-    preprocess_pipeline,
-)
-from .stemming import stem
-from .tensor_core import Rng
-
 __version__ = "0.1.0"
-

@@ -137,8 +137,8 @@ def _load_config(path: str | None) -> dict[str, str]:
     error."""
     if path is None:
         return {}
-    # no header can name the default section "", so [DEFAULT] is a plain one
-    parser = configparser.ConfigParser(default_section="")
+    # [DEFAULT] is a plain section, as no header can name ""; values are verbatim
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     flat: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         try:
@@ -232,6 +232,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _out_dir(path) -> Path:
+    """``path`` once it, or its nearest existing parent, is a directory: a file
+    in the way fails before any work.  A failed run leaves no directory."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"output directory {out}: {existing} is not a directory")
+    return out
+
+
 def _encode_csv(path, values, pipeline: PipelineConfig, seq_len: int, vocab=None):
     """(EncodedCorpus, vocabulary) of a labeled CSV read with the resolved
     column settings, deduplicated if ``pipeline`` says so and tokenized by
@@ -246,12 +256,12 @@ def _encode_csv(path, values, pipeline: PipelineConfig, seq_len: int, vocab=None
 
 
 def cmd_ingest(args, values) -> int:
+    out = _out_dir(args.out_dir)
     stop_path = values["stopwords"]
     stops = load_stop_words(stop_path) if stop_path else default_stop_words()
     pipeline = PipelineConfig(stops, values["drop_hashtag_words"], values["dedupe"])
     encoded, vocab = _encode_csv(args.csv, values, pipeline, values["seq_len"])
 
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_corpus_cache(encoded, out / CACHE_FILE)
     (out / "vocab.json").write_text(
@@ -293,6 +303,7 @@ def _read_prepared(data_dir) -> tuple[EncodedCorpus, Vocabulary, PipelineConfig]
 
 
 def cmd_train(args, values) -> int:
+    out = _out_dir(args.out_dir)
     encoded, vocab, pipeline = _read_prepared(args.data)
     model_config = _config_of(ModelConfig, values, seq_len=encoded.n)
     train_config = _config_of(TrainConfig, values, shuffle=not values["no_shuffle"])
@@ -304,7 +315,6 @@ def cmd_train(args, values) -> int:
     model = build_model(model_config, vocab, Rng(train_config.seed), pipeline)
     model, history = train(model, train_part, val_part, train_config)
 
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_model(model, out / "model.bin")
     (out / "history.csv").write_text(history.to_csv(), encoding="utf-8")
@@ -339,10 +349,13 @@ def cmd_evaluate(args, values) -> int:
     for key, reason in idle.items():
         if getattr(args, key) is not None:
             raise _UsageError(f"--{key.replace('_', '-')} has no effect with {reason}")
+    split = None if args.split == "all" else _config_of(SplitSpec, values)
+    if args.split == "val" and split.val_fraction == 0:
+        raise _UsageError("--split val selects no rows when val_frac is 0")
+    out = _out_dir(args.out_dir)
     model = load_model(args.model)
     encoded = _encoded_for_evaluate(args, values, model)
-    if args.split != "all":
-        split = _config_of(SplitSpec, values)
+    if split is not None:
         parts = dict(
             zip(("train", "val", "test"), corpus_io.stratified_indices(encoded.labels, split))
         )
@@ -351,7 +364,6 @@ def cmd_evaluate(args, values) -> int:
     cm = metrics.confusion(result.predictions, [int(l) for l in encoded.labels])
     report = metrics.macro_report(cm)
 
-    out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.csv").write_text(metrics.report_to_csv(report), encoding="utf-8")
     (out / "confusion.csv").write_text(metrics.confusion_to_csv(cm), encoding="utf-8")

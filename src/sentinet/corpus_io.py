@@ -6,6 +6,9 @@ Sentiment classes travel as the literal strings "-1", "0", "1" in CSV files
 indices 0/1/2 so one-hot targets stay simple.  The mapping is confined to
 this module's I/O boundary and to the export helpers.
 
+A row is checked once, by :func:`load_corpus`: a bad label or empty text
+aborts it with the row's number, and a :class:`LabeledExample` checks nothing.
+
 Container layout, integers little-endian, header a UTF-8 JSON object with
 sorted keys:
 
@@ -29,6 +32,7 @@ import json
 import random
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,22 +99,14 @@ def internal_label(value: str) -> int:
     return _EXTERNAL_TO_INTERNAL[value.strip()]
 
 
-@dataclass(frozen=True)
-class LabeledExample:
+class LabeledExample(NamedTuple):
     text: str
     label: int  # internal index: 0 negative, 1 neutral, 2 positive
-
-    def __post_init__(self):
-        if self.label not in (NEGATIVE, NEUTRAL, POSITIVE):
-            raise ValueError(f"label index out of range: {self.label}")
-        if not self.text.strip():
-            raise ValueError("example text is empty")
 
 
 @dataclass(frozen=True)
 class LabeledCorpus:
     examples: tuple[LabeledExample, ...]
-    source_path: str
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -177,7 +173,7 @@ def load_corpus(path, text_column: str = "text", label_column: str = "label") ->
             raise UnreadableRow(row_number + 1, path, str(exc)) from None
     if not examples:
         raise EmptyFile(path)
-    return LabeledCorpus(tuple(examples), source_path=path)
+    return LabeledCorpus(tuple(examples))
 
 
 def deduplicate(corpus: LabeledCorpus) -> LabeledCorpus:
@@ -189,7 +185,7 @@ def deduplicate(corpus: LabeledCorpus) -> LabeledCorpus:
             continue
         seen.add(ex.text)
         kept.append(ex)
-    return LabeledCorpus(tuple(kept), source_path=corpus.source_path)
+    return LabeledCorpus(tuple(kept))
 
 
 def class_histogram(labels) -> tuple[int, int, int]:

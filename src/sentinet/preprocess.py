@@ -4,7 +4,7 @@ The cleaning stages run in a fixed order chosen so that each stage sees
 input the previous stages have already normalized:
 
     lowercase -> remove_urls -> filter_twitter_artifacts -> remove_punctuation
-              -> tokenize -> remove_stop_words -> stem (per token)
+              -> split on whitespace -> remove_stop_words -> stem (per token)
 
 URL removal runs before punctuation removal on purpose: stripping
 punctuation first would shatter every URL into junk tokens.
@@ -65,9 +65,6 @@ class StopWordList:
             if w != w.lower():
                 raise ValueError(f"stop word not lowercase: {w!r}")
 
-    def __len__(self) -> int:
-        return len(self.words)
-
 
 def load_stop_words(path) -> StopWordList:
     """Read a stop-word file: one word per line, '#' lines are comments."""
@@ -113,11 +110,6 @@ def remove_punctuation(text: str) -> str:
     return text.encode(errors="surrogatepass").translate(_PUNCT_BYTES).decode(errors="surrogatepass")
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase and split on whitespace runs, dropping empty tokens."""
-    return text.lower().split()
-
-
 def remove_stop_words(tokens: list[str], stops: StopWordList) -> list[str]:
     """Order-preserving removal of tokens found in the stop list."""
     words = stops.words
@@ -130,7 +122,7 @@ def clean_tokens(
     """All cleaning stages except stemming (idempotent on clean input).
 
     The text is lowercased once, first; the later stages keep it lowercase
-    and leave it ASCII, so splitting it is what :func:`tokenize` would do.
+    and leave it ASCII, so ``str.split`` turns it into the tokens.
     """
     text = remove_urls(raw.lower())
     text = filter_twitter_artifacts(text, drop_hashtag_words)
@@ -198,15 +190,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self._id_to_token)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
-
-    def encode(self, token: str) -> int:
-        return self._token_to_id.get(token, UNK_ID)
-
-    def decode(self, token_id: int) -> str:
-        return self._id_to_token[token_id]
 
     def tokens(self) -> tuple[str, ...]:
         """Corpus tokens in id order (excluding the reserved entries)."""

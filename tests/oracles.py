@@ -29,7 +29,7 @@ from sentinet.corpus_io import (
     internal_label,
 )
 from sentinet.metrics import LabelOutOfRange, LengthMismatch
-from sentinet.preprocess import PAD_ID, Vocabulary, remove_stop_words, tokenize
+from sentinet.preprocess import PAD_ID, UNK_ID, Vocabulary, remove_stop_words
 from sentinet.stemming import _form
 
 
@@ -190,12 +190,12 @@ def translate_punctuation(text: str) -> str:
 def staged_clean_tokens(raw: str, stops, drop_hashtag_words: bool = False) -> list[str]:
     """``preprocess.clean_tokens`` as its five stages in their slow forms: no
     regex skipped by a guard, the per-character filter, the dict punctuation
-    table and ``tokenize`` lowercasing a second time.  The reference for the
-    cleaner that lowercases once and for the guarded stages."""
+    table and lowercasing a second time before the split.  The reference for
+    the cleaner that lowercases once and for the guarded stages."""
     text = unguarded_remove_urls(raw.lower())
     text = loop_filter_twitter_artifacts(text, drop_hashtag_words)
     text = translate_punctuation(text)
-    return remove_stop_words(tokenize(text), stops)
+    return remove_stop_words(text.lower().split(), stops)
 
 
 def per_list_build_vocabulary(token_lists, min_frequency: int = 1) -> Vocabulary:
@@ -230,13 +230,20 @@ def loop_stratified_indices(labels, spec) -> tuple:
     return tuple(sorted(p) for p in parts)
 
 
+def token_ids(vocab) -> dict:
+    """Each of ``vocab``'s corpus tokens to its id, counted from 2 in the
+    order of ``vocab.tokens()``; a token missing from it encodes as UNK_ID."""
+    return {token: i for i, token in enumerate(vocab.tokens(), start=2)}
+
+
 def row_encode_and_pad(tokens, vocab, n: int) -> np.ndarray:
     """One row's ids written into a pad-filled array by a slice, one
-    ``vocab.encode`` call per token: the reference for ``encode_and_pad``."""
+    :func:`token_ids` lookup per token: the reference for ``encode_and_pad``."""
     if n < 1:
         raise InvalidConfig(f"sequence length must be >= 1, got {n}")
     ids = np.full(n, PAD_ID, dtype=np.int64)
-    row = [vocab.encode(tok) for tok in tokens[:n]]
+    to_id = token_ids(vocab)
+    row = [to_id.get(tok, UNK_ID) for tok in tokens[:n]]
     ids[: len(row)] = row
     ids.setflags(write=False)
     return ids
@@ -293,16 +300,17 @@ def dictreader_load_corpus(path, text_column: str = "text", label_column: str = 
             raise UnreadableRow(row_number + 1, path, str(exc)) from None
     if not examples:
         raise EmptyFile(path)
-    return LabeledCorpus(tuple(examples), source_path=path)
+    return LabeledCorpus(tuple(examples))
 
 
 def loop_encode(token_lists, vocab, n: int) -> np.ndarray:
     """The (rows, n) padded id matrix written one token at a time: the
     reference for ``encode_and_pad`` and ``encode_corpus``."""
     ids = np.full((len(token_lists), n), PAD_ID, dtype=np.int64)
+    to_id = token_ids(vocab)
     for row, tokens in enumerate(token_lists):
         for i, token in enumerate(tokens[:n]):
-            ids[row, i] = vocab.encode(token)
+            ids[row, i] = to_id.get(token, UNK_ID)
     return ids
 
 

@@ -120,6 +120,15 @@ class TestIngest:
         assert code == 2
         assert one_error_line(capsys).startswith("error: row 2: field larger than field limit")
 
+    def test_percent_in_a_config_value_is_read_verbatim(self, tmp_path):
+        csv_path = write_toy_csv(tmp_path / "toy.csv", header=("te%xt", "label"))
+        ini = tmp_path / "run.ini"
+        ini.write_text("[ingest]\ntext_column = te%xt\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["ingest", "--csv", str(csv_path), "--out-dir", str(out), "--config", str(ini)]
+        assert cli.main(argv) == 0
+        assert json.loads((out / "meta.json").read_text("utf-8"))["text_column"] == "te%xt"
+
     def test_bad_label_value_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("text,label\nhello,5\n", encoding="utf-8")
@@ -381,6 +390,26 @@ class TestEvaluate:
         assert "has no effect with" in one_error_line(capsys, prefix="usage error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_val_split_without_val_rows_exits_1(self, prepared, trained, tmp_path, capsys,
+                                                monkeypatch, source):
+        """--split val with val_frac 0 selects no rows: a usage error
+        before the model is loaded, whichever way the 0 was given."""
+        _, data_dir = prepared
+        ini = tmp_path / "split.ini"
+        ini.write_text("[split]\nval_frac = 0\n", encoding="utf-8")
+        given = ["--val-frac", "0"] if source == "flag" else ["--config", str(ini)]
+        monkeypatch.setattr(cli, "load_model", pytest.fail)
+        out = tmp_path / "r"
+        code = cli.main(
+            ["evaluate", "--model", str(trained), "--data", str(data_dir), "--split", "val",
+             "--out-dir", str(out), *given]
+        )
+        assert code == 1
+        message = one_error_line(capsys, prefix="usage error: ")
+        assert "--split val" in message and "val_frac" in message
+        assert not out.exists()
+
     def test_config_keys_that_cannot_apply_are_accepted(self, prepared, trained, tmp_path):
         """One config file serves every command, so its split and column
         keys stay accepted where they cannot apply."""
@@ -618,8 +647,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("text", [
         "epochs = 3\n",
         "[train]\nepochs = 3\nepochs = 4\n",
-        "[train]\nlr = 5%\n",
-    ], ids=["no-section", "duplicate-key", "bad-interpolation"])
+    ], ids=["no-section", "duplicate-key"])
     def test_malformed_config_file_exits_1(self, prepared, tmp_path, capsys, text):
         csv_path, _ = prepared
         ini = tmp_path / "bad.ini"
@@ -698,6 +726,33 @@ class TestUsageErrors:
         assert cli.main(argv) == 1
         one_error_line(capsys, prefix="invalid configuration: ")
         assert not out.exists()
+
+
+class TestOutDir:
+    """An --out-dir that cannot be a directory fails before any loading or
+    training, and the command's first step is never reached."""
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("command, first_step", [
+        ("ingest", "load_stop_words"), ("train", "train"), ("evaluate", "load_model"),
+    ])
+    def test_file_in_the_way_exits_2(self, prepared, tmp_path, capsys, monkeypatch,
+                                     command, first_step, under):
+        csv_path, data_dir = prepared
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n", encoding="utf-8")
+        out = afile / under
+        monkeypatch.setattr(cli, first_step, pytest.fail)
+        argv = {
+            "ingest": ["ingest", "--csv", str(csv_path), "--stopwords", "stops.txt",
+                       "--out-dir", str(out)],
+            "train": train_args(data_dir, out),
+            "evaluate": ["evaluate", "--model", "m.bin", "--data", str(data_dir),
+                         "--out-dir", str(out)],
+        }[command]
+        assert cli.main(argv) == 2
+        assert "is not a directory" in one_error_line(capsys)
+        assert afile.read_text("utf-8") == "not a directory\n"
 
 
 # each subcommand's option strings, as the parser declared them flag by flag

@@ -44,8 +44,7 @@ def write_csv(path, rows, header=("text", "label")):
 
 def corpus_of(labels):
     return LabeledCorpus(
-        tuple(LabeledExample(text=f"ex{i}", label=lab) for i, lab in enumerate(labels)),
-        source_path="<memory>",
+        tuple(LabeledExample(text=f"ex{i}", label=lab) for i, lab in enumerate(labels))
     )
 
 
@@ -127,12 +126,6 @@ class TestLabels:
         for external, internal in (("-1", NEGATIVE), ("0", NEUTRAL), ("1", POSITIVE)):
             assert internal_label(external) == internal
             assert external_label(internal) == external
-
-    def test_example_validation(self):
-        with pytest.raises(ValueError):
-            LabeledExample(text="x", label=3)
-        with pytest.raises(ValueError):
-            LabeledExample(text="  ", label=0)
 
 
 class TestHistogram:
@@ -248,8 +241,7 @@ def test_deduplicate_keeps_first_occurrence():
             LabeledExample("same text", 0),
             LabeledExample("other", 1),
             LabeledExample("same text", 2),
-        ),
-        source_path="<memory>",
+        )
     )
     deduped = deduplicate(corpus)
     assert len(deduped) == 2

@@ -242,7 +242,7 @@ def outcome(load, path):
         corpus = load(path)
     except CorpusError as exc:
         return type(exc), getattr(exc, "row", None), str(exc)
-    return corpus.examples, corpus.source_path
+    return corpus.examples
 
 
 class TestLoader:

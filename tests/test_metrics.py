@@ -70,9 +70,8 @@ class TestConfusion:
 
     @given(st.lists(st.integers(0, 2), max_size=100))
     def test_class_histogram_of_a_corpus_equals_that_of_its_labels(self, labels):
-        corpus = LabeledCorpus(
-            tuple(LabeledExample(f"t{i}", label) for i, label in enumerate(labels)), "mem"
-        )
+        examples = tuple(LabeledExample(f"t{i}", label) for i, label in enumerate(labels))
+        corpus = LabeledCorpus(examples)
         expected = tuple(int(n) for n in loop_confusion(labels, labels).diagonal())
         assert class_histogram(corpus.labels()) == class_histogram(labels) == expected
         assert class_histogram(np.asarray(labels)) == expected

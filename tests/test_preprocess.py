@@ -20,7 +20,6 @@ from sentinet.preprocess import (
     UNK_ID,
     EncodedCorpus,
     StopWordList,
-    Vocabulary,
     build_vocabulary,
     clean_tokens,
     default_stop_words,
@@ -33,7 +32,6 @@ from sentinet.preprocess import (
     remove_punctuation,
     remove_stop_words,
     remove_urls,
-    tokenize,
     write_corpus_cache,
 )
 
@@ -70,11 +68,6 @@ class TestStages:
         assert remove_punctuation("great!! really?") == "great   really "
         assert remove_punctuation("abc") == "abc"
         assert remove_punctuation("a,b.c") == "a b c"
-
-    def test_tokenize(self):
-        assert tokenize("Great  News") == ["great", "news"]
-        assert tokenize("") == []
-        assert tokenize("  a ") == ["a"]
 
     def test_remove_stop_words(self):
         stops = StopWordList(frozenset({"the", "is"}))
@@ -216,39 +209,37 @@ class TestStopWordList:
 
     def test_default_list_is_nonempty_lowercase(self):
         stops = default_stop_words()
-        assert len(stops) > 100
+        assert len(stops.words) > 100
         assert all(w == w.lower() and w for w in stops.words)
 
 
 class TestVocabulary:
     def test_min_frequency_threshold(self):
         vocab = build_vocabulary([["a", "b", "a"]], min_frequency=2)
-        assert "a" in vocab
-        assert "b" not in vocab
+        assert vocab.tokens() == ("a",)
         assert len(vocab) == 3  # pad, unk, a
 
     def test_all_distinct_tokens_kept(self):
         vocab = build_vocabulary([["x"], ["y"]], min_frequency=1)
-        assert "x" in vocab and "y" in vocab
+        assert set(vocab.tokens()) == {"x", "y"}
         assert len(vocab) == 4
 
     def test_frequency_then_lexicographic_order(self):
         vocab = build_vocabulary([["b", "a", "b", "a", "c"]], min_frequency=1)
         # a and b tie at 2, a wins the smaller id; c trails at 1
-        assert vocab.encode("a") == 2
-        assert vocab.encode("b") == 3
-        assert vocab.encode("c") == 4
+        assert vocab.tokens() == ("a", "b", "c")
+        assert list(encode_and_pad(["a", "b", "c"], vocab, n=3)) == [2, 3, 4]
 
     def test_round_trip(self):
         vocab = build_vocabulary([["virus", "mild", "virus"]], min_frequency=1)
-        for token in ("virus", "mild"):
-            assert vocab.decode(vocab.encode(token)) == token
+        ids = encode_and_pad(["virus", "mild"], vocab, n=2)
+        assert [vocab.tokens()[i - 2] for i in ids] == ["virus", "mild"]
 
     def test_reserved_ids(self):
         vocab = build_vocabulary([["z"]], min_frequency=1)
-        assert vocab.encode("never-seen") == UNK_ID
-        assert vocab.decode(PAD_ID) == Vocabulary.PAD_TOKEN
-        assert vocab.decode(UNK_ID) == Vocabulary.UNK_TOKEN
+        assert (PAD_ID, UNK_ID) == (0, 1)
+        assert list(encode_and_pad(["never-seen"], vocab, n=2)) == [UNK_ID, PAD_ID]
+        assert len(vocab) == len(vocab.tokens()) + 2  # pad and unk hold ids 0 and 1
 
     def test_min_frequency_validation(self):
         with pytest.raises(InvalidConfig):
@@ -256,8 +247,8 @@ class TestVocabulary:
 
 
 def true_length(ids) -> int:
-    """Tokens kept before the padding: ``Vocabulary.encode`` never returns
-    the pad id, so the count of non-pad ids is exact."""
+    """Tokens kept before the padding: no token is encoded as the pad id,
+    so the count of non-pad ids is exact."""
     return int(np.count_nonzero(ids != PAD_ID))
 
 
@@ -280,12 +271,12 @@ class TestEncodeAndPad:
         tokens = [f"w{i}" for i in range(10)]
         ids = encode_and_pad(tokens, vocab, n=8)
         assert true_length(ids) == 8
-        assert [vocab.decode(i) for i in ids] == tokens[:8]
+        assert [vocab.tokens()[i - 2] for i in ids] == tokens[:8]
 
     def test_unknown_tokens_map_to_unk(self):
         vocab = build_vocabulary([["a"]], min_frequency=1)
         ids = encode_and_pad(["a", "zzz"], vocab, n=3)
-        assert list(ids) == [vocab.encode("a"), UNK_ID, PAD_ID]
+        assert list(ids) == [2, UNK_ID, PAD_ID]
 
     @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=24))
     def test_output_length_is_always_n(self, n, n_tokens):
