@@ -17,7 +17,14 @@ sorted keys:
 
 The magic and version name a format, whose module defines its header
 fields and payload: the model file in :mod:`sentinet.model_training`, the
-corpus cache in :mod:`sentinet.preprocess`.
+corpus cache in :mod:`sentinet.preprocess`.  A container is written to a
+temporary file beside its path that replaces the path only once complete,
+so an interrupted write leaves the previous file whole.  It is read in one
+pass into a private buffer placed so that the payload starts 64-byte
+aligned, and the payload a reader gets is a view of that buffer: a format
+builds its arrays on it without a copy.  The file is not memory-mapped,
+because a file rewritten after its checksum was checked would then change
+those arrays.
 
 Every table a run writes is :func:`csv_text` of its rows: ``\n`` line ends
 and a float as its ``repr``, so NaN is ``nan``.
@@ -25,10 +32,12 @@ and a float as its ``repr``, so NaN is ``nan``.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import os
 import random
 import struct
 from dataclasses import dataclass
@@ -258,6 +267,7 @@ def histogram_to_csv(histogram: tuple[int, int, int]) -> str:
 
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
 _DIGEST_SIZE = hashlib.sha256().digest_size
+_PAYLOAD_ALIGN = 64  # bytes: a cache line, and a multiple of every dtype's size
 
 
 class InvalidConfig(ValueError):
@@ -274,35 +284,67 @@ class FormatVersionMismatch(ValueError):
 
 def write_container(path, magic: bytes, version: int, header: dict, payload) -> None:
     """Write ``header`` and the buffers in ``payload`` (bytes or contiguous
-    arrays, in order) as one checksummed file."""
+    arrays, in order) as one checksummed file, through a temporary file
+    that replaces ``path`` only once it is complete."""
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for part in (_PREFIX.pack(magic, version, len(header_bytes)), header_bytes, *payload):
-            digest.update(part)
-            fh.write(part)
-        fh.write(digest.digest())
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "wb") as fh:
+            for part in (_PREFIX.pack(magic, version, len(header_bytes)), header_bytes, *payload):
+                digest.update(part)
+                fh.write(part)
+            fh.write(digest.digest())
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        raise
+
+
+def _aligned(size: int, at: int) -> np.ndarray:
+    """A fresh, writable array of ``size`` bytes whose byte ``at`` starts
+    a ``_PAYLOAD_ALIGN``-byte line."""
+    raw = np.empty(size + _PAYLOAD_ALIGN, np.uint8)
+    shift = -(raw.ctypes.data + at) % _PAYLOAD_ALIGN
+    return raw[shift : shift + size]
 
 
 def read_container(path, magic: bytes, version: int, kind: str) -> tuple[dict, memoryview]:
     """(header, payload) of a file ``write_container`` wrote with ``magic``
     and ``version``; the format's reader checks the payload against the
-    header.  ``kind`` names the format in error messages."""
+    header.  ``kind`` names the format in error messages.
+
+    The file is read once, sized by ``fstat``, into a private buffer whose
+    payload starts 64-byte aligned, and the payload is a writable view of
+    that buffer.  Bytes past that size, such as a FIFO's (``fstat`` reports
+    0), are read to the end at the cost of one copy.  There is no mmap: the
+    checksum holds only for bytes that no other writer can change."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _PREFIX.size + _DIGEST_SIZE or blob[:4] != magic:
+        prefix = fh.read(_PREFIX.size)
+        header_len = _PREFIX.unpack(prefix)[2] if len(prefix) == _PREFIX.size else 0
+        start = _PREFIX.size + header_len  # of the payload
+        buffer = _aligned(max(os.fstat(fh.fileno()).st_size, len(prefix)), start)
+        buffer[: len(prefix)] = np.frombuffer(prefix, np.uint8)
+        size = len(prefix) + fh.readinto(memoryview(buffer)[len(prefix) :])
+        rest = fh.read()  # past the size fstat reported, as for a FIFO
+    if rest:
+        whole = _aligned(size + len(rest), start)
+        whole[:size], whole[size:] = buffer[:size], np.frombuffer(rest, np.uint8)
+        buffer, size = whole, size + len(rest)
+    blob = memoryview(buffer)[:size]
+    if size < _PREFIX.size + _DIGEST_SIZE or blob[:4] != magic:
         raise CorruptFile(f"not a {kind} file: {path}")
-    _, found, header_len = _PREFIX.unpack_from(blob)
+    found = _PREFIX.unpack_from(blob)[1]
     if found != version:
         raise FormatVersionMismatch(f"{kind} format {found}, this build reads {version}")
-    body = memoryview(blob)[:-_DIGEST_SIZE]
+    body = blob[:-_DIGEST_SIZE]
     if hashlib.sha256(body).digest() != blob[-_DIGEST_SIZE:]:
         raise CorruptFile(f"checksum mismatch: {path}")
-    end = _PREFIX.size + header_len
     try:
-        header = json.loads(bytes(body[_PREFIX.size : end]).decode("utf-8"))
+        header = json.loads(bytes(body[_PREFIX.size : start]).decode("utf-8"))
     except (ValueError, RecursionError):
         header = None
-    if end > len(body) or not isinstance(header, dict):
+    if start > len(body) or not isinstance(header, dict):
         raise CorruptFile(f"malformed header: {path}")
-    return header, body[end:]
+    return header, body[start:]

@@ -32,7 +32,8 @@ there) with magic ``SNET`` and version 2.  Its header holds ``config``,
 ``vocab``, ``pipeline``, ``history`` and ``params``, each parameter's name
 and shape in stage order; the payload holds the parameters in that order
 as little-endian float64.  A header must be exactly the one ``save_model``
-writes for the model it describes.
+writes for the model it describes.  A loaded model's parameters are
+writable views of the one buffer its file was read into, with no copy.
 """
 
 from __future__ import annotations
@@ -518,7 +519,7 @@ def load_model(path) -> Model:
             raise CorruptFile(f"parameter payload truncated: {path}")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         offset += 8 * count
-        return arr.reshape(shape).copy()
+        return arr.reshape(shape)
 
     model = Model(config, vocab, _make_stages(config, len(vocab), read), pipeline)
     if offset != len(payload):

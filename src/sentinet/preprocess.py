@@ -183,8 +183,8 @@ class Vocabulary:
     def __init__(self, tokens_by_id: list[str], min_frequency: int):
         self._id_to_token = (self.PAD_TOKEN, self.UNK_TOKEN, *tokens_by_id)
         self._token_to_id = dict(zip(tokens_by_id, count(2)))  # corpus tokens only
-        reserved = {"", self.PAD_TOKEN, self.UNK_TOKEN}
-        if len(self._token_to_id) + 2 != len(self) or not reserved.isdisjoint(self._token_to_id):
+        reserved = any(t in self._token_to_id for t in ("", self.PAD_TOKEN, self.UNK_TOKEN))
+        if len(self._token_to_id) + 2 != len(self) or reserved:
             raise ValueError("vocabulary tokens repeat, include a reserved token or are empty")
         self.min_frequency = min_frequency
 
@@ -286,7 +286,7 @@ def read_corpus_cache(path) -> EncodedCorpus:
         raise CorruptFile(f"malformed header: {path}")
     if rows < 0 or n < 1 or len(payload) != 8 * rows * (n + 1):
         raise CorruptFile(f"payload does not match the shape in its header: {path}")
-    values = np.frombuffer(payload, dtype="<i8")
+    values = np.frombuffer(payload.toreadonly(), dtype="<i8")
     sequences, labels = values[: rows * n].reshape(rows, n), values[rows * n :]
     for bad, what in (
         ((sequences < 0).any(axis=1), "negative token id"),

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,16 @@ def toy_corpus():
     """(EncodedCorpus, Vocabulary, PipelineConfig) for the 30-example set."""
     texts, labels = make_toy_texts()
     return encode_toy_corpus(texts, labels)
+
+
+@contextlib.contextmanager
+def fifo_feeding(tmp_path, data: bytes):
+    """A FIFO path that a writer thread feeds ``data`` to once a reader opens
+    it: a file whose size ``fstat`` does not report."""
+    path = tmp_path / "fifo"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    yield path
+    writer.join(timeout=30)
+    assert not writer.is_alive()

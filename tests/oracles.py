@@ -8,11 +8,14 @@ vectorized production code it checks.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import random
 import re
 import string
+import struct
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -368,3 +371,20 @@ def loop_lstm_backward(weights: np.ndarray, cache, d_h_final: np.ndarray):
     d_weights = flat.T @ z.reshape(len(flat), -1)
     d_steps = d_pre @ weights[:, :in_dim]
     return {"weights": d_weights, "bias": flat.sum(axis=0)}, d_steps
+
+
+def copying_load_parameters(path) -> dict:
+    """A model file's parameters by name, each a ``frombuffer(...).copy()``
+    of the file's bytes: the reference for ``load_model``'s views.  It checks
+    only that the sizes add up."""
+    blob = Path(path).read_bytes()
+    (header_len,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16 : 16 + header_len])
+    offset, params = 16 + header_len, {}
+    for entry in header["params"]:
+        count = math.prod(entry["shape"])
+        values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        params[entry["name"]] = values.reshape(entry["shape"]).copy()
+        offset += 8 * count
+    assert offset == len(blob) - 32  # the sha256 closes the file
+    return params

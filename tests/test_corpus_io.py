@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import struct
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import sentinet.corpus_io as corpus_io
 from sentinet.corpus_io import (
     NEGATIVE,
     NEUTRAL,
@@ -29,6 +31,7 @@ from sentinet.corpus_io import (
     load_corpus,
     read_container,
     stratified_indices,
+    write_container,
 )
 
 from oracles import loop_stratified_indices
@@ -257,3 +260,53 @@ def test_container_with_a_sealed_malformed_header_is_corrupt(tmp_path, header):
     path.write_bytes(body + hashlib.sha256(body).digest())
     with pytest.raises(CorruptFile, match="malformed header"):
         read_container(path, b"TEST", 1, "test")
+
+
+@pytest.mark.parametrize("pad", range(0, 64, 9))
+def test_container_payload_is_an_aligned_writable_view(tmp_path, pad):
+    path = tmp_path / "file.bin"
+    write_container(path, b"TEST", 1, {"pad": "x" * pad}, [b"payload"])
+    header, payload = read_container(path, b"TEST", 1, "test")
+    assert header == {"pad": "x" * pad} and payload == b"payload"
+    values = np.frombuffer(payload, np.uint8)
+    assert values.ctypes.data % 64 == 0 and values.flags.writeable
+
+
+class _FullDisk:
+    """A file that takes ``writes`` writes, then fails as a full disk would."""
+
+    def __init__(self, fh, writes: int):
+        self._fh, self._writes = fh, writes
+
+    def write(self, data):
+        if not self._writes:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self._writes -= 1
+        return self._fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+
+def test_interrupted_write_leaves_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "file.bin"
+    write_container(path, b"TEST", 1, {"n": 1}, [b"old payload"])
+    before = path.read_bytes()
+    monkeypatch.setattr(
+        corpus_io, "open", lambda *args: _FullDisk(open(*args), writes=2), raising=False
+    )
+    with pytest.raises(OSError, match="No space left"):
+        write_container(path, b"TEST", 1, {"n": 2}, [b"new payload", b"more"])
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_replaces_the_file_and_leaves_nothing_else(tmp_path):
+    path = tmp_path / "file.bin"
+    write_container(path, b"TEST", 1, {"n": 1}, [b"old payload"])
+    write_container(path, b"TEST", 1, {"n": 2}, [b"new payload"])
+    assert read_container(path, b"TEST", 1, "test") == ({"n": 2}, b"new payload")
+    assert list(tmp_path.iterdir()) == [path]

@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,7 +37,8 @@ from sentinet.model_training import (
 from sentinet.preprocess import EncodedCorpus, build_vocabulary
 from sentinet.tensor_core import Rng, ShapeMismatch
 
-from conftest import encode_toy_corpus, make_toy_texts
+from conftest import encode_toy_corpus, fifo_feeding, make_toy_texts
+from oracles import copying_load_parameters
 
 SMALL = dict(seq_len=7, embed_dim=4, window=3, filters=2, hidden=5)
 
@@ -545,6 +547,79 @@ class TestSerialization:
         path.write_bytes(b"definitely not a model file, far too short?" * 3)
         with pytest.raises(CorruptFile):
             load_model(path)
+
+
+def assert_bit_equal(params: dict, expected: dict) -> None:
+    assert list(params) == list(expected)
+    for name, arr in params.items():
+        assert arr.shape == expected[name].shape
+        npt.assert_array_equal(arr.view(np.uint64), expected[name].view(np.uint64))
+
+
+class TestLoadWithoutCopy:
+    """load_model's parameters are views of the one buffer its file was read
+    into; the copying reader in oracles is the reference."""
+
+    @pytest.fixture
+    def saved(self, tmp_path, toy_corpus):
+        corpus, vocab, pipeline = toy_corpus
+        config = ModelConfig(variant="cnn-lstm", seq_len=corpus.n, embed_dim=6,
+                             window=3, filters=4, hidden=5)
+        model = build_model(config, vocab, Rng(31), pipeline)
+        train(model, corpus, corpus, TrainConfig(epochs=1, batch_size=8, seed=31))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        return path
+
+    def test_parameters_are_writable_aligned_views_of_one_buffer(self, saved):
+        params = list(load_model(saved).parameters().values())
+        assert params[0].ctypes.data % 64 == 0  # the payload's start
+        for before, arr in zip(params, params[1:]):
+            assert arr.ctypes.data == before.ctypes.data + before.nbytes
+        for arr in params:
+            assert arr.flags.writeable and arr.flags.c_contiguous
+            assert arr.dtype == np.float64
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_parameters_bit_equal_the_copying_reader(self, tmp_path, toy_corpus, variant):
+        corpus, vocab, pipeline = toy_corpus
+        config = ModelConfig(variant=variant, seq_len=corpus.n, embed_dim=5,
+                             window=2, filters=3, hidden=4)
+        model = build_model(config, vocab, Rng(32), pipeline)
+        train(model, corpus, None, TrainConfig(epochs=1, batch_size=8, seed=32))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        assert_bit_equal(load_model(path).parameters(), copying_load_parameters(path))
+
+    def test_rewriting_the_file_leaves_loaded_parameters(self, saved):
+        model = load_model(saved)
+        expected = copying_load_parameters(saved)
+        with open(saved, "r+b") as fh:  # in place, as a second writer would
+            fh.write(b"\xff" * saved.stat().st_size)
+        assert_bit_equal(model.parameters(), expected)
+
+    def test_loads_from_a_fifo(self, saved, tmp_path):
+        with fifo_feeding(tmp_path, saved.read_bytes()) as fifo:
+            params = load_model(fifo).parameters()
+        assert_bit_equal(params, copying_load_parameters(saved))
+        assert next(iter(params.values())).ctypes.data % 64 == 0
+
+    def test_peak_memory_of_a_load_stays_near_the_file_size(self, tmp_path):
+        """A payload that dominates its header (a 5,000-row, 256-wide table,
+        about 10 MB): a second copy of it would double the peak."""
+        vocab = build_vocabulary([[f"w{i}" for i in range(5000)]], 1)
+        config = ModelConfig(variant="cnn", seq_len=4, embed_dim=256, window=2,
+                             filters=2, hidden=2)
+        path = tmp_path / "model.bin"
+        save_model(build_model(config, vocab, Rng(33)), path)
+        tracemalloc.start()
+        try:
+            model = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.parameter_count() * 8 > 0.9 * path.stat().st_size
+        assert peak <= 1.5 * path.stat().st_size
 
 
 class TestPredictText:

@@ -35,6 +35,7 @@ from sentinet.preprocess import (
     write_corpus_cache,
 )
 
+from conftest import fifo_feeding
 from oracles import loop_encode, loop_filter_twitter_artifacts, staged_clean_tokens
 
 NO_STOPS = StopWordList(frozenset())
@@ -314,6 +315,19 @@ class TestCorpusCache:
         again = tmp_path / "again.bin"
         write_corpus_cache(read_corpus_cache(path), again)
         assert again.read_bytes() == path.read_bytes()
+
+    def test_arrays_are_read_only(self, cache):
+        loaded = read_corpus_cache(cache[1])
+        assert not loaded.sequences.flags.writeable
+        assert not loaded.labels.flags.writeable
+
+    def test_loads_from_a_fifo(self, cache, tmp_path):
+        corpus, path = cache
+        with fifo_feeding(tmp_path, path.read_bytes()) as fifo:
+            loaded = read_corpus_cache(fifo)
+        assert loaded.sequences.tobytes() == corpus.sequences.tobytes()
+        assert loaded.labels.tobytes() == corpus.labels.tobytes()
+        assert not loaded.sequences.flags.writeable
 
     def test_layout_is_a_container_of_int64_arrays(self, cache):
         corpus, path = cache
