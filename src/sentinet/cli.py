@@ -24,7 +24,9 @@ inputs, flags and seeds reproduce identical outputs byte for byte.
 
 Exit codes: 0 success; 1 usage error, which is a bad flag or config file
 or a setting outside its range (every ``InvalidConfig``); 2 I/O or format
-error in an input file; 3 numerical divergence during training.
+error in an input file, or a size setting or model header that asks for
+more memory than there is (``MemoryError``, reported as "not enough
+memory"); 3 numerical divergence during training.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import corpus_io, metrics
-from .corpus_io import CorpusError, InvalidConfig, SplitSpec
+from .corpus_io import MALFORMED, CorpusError, InvalidConfig, SplitSpec
 from .layers import ACTIVATIONS, IdOutOfRange
 from .model_training import (
     VARIANTS,
@@ -293,7 +295,7 @@ def _read_prepared(data_dir) -> tuple[EncodedCorpus, Vocabulary, PipelineConfig]
     try:
         vocab = Vocabulary.from_json(json.loads((data_dir / "vocab.json").read_text("utf-8")))
         pipeline = PipelineConfig.from_json(json.loads((data_dir / "meta.json").read_text("utf-8")))
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except MALFORMED as exc:
         raise CorpusError(f"malformed vocab.json or meta.json in {data_dir}: {exc!r}") from None
     if encoded.sequences.size and encoded.sequences.max() >= len(vocab):
         raise CorpusError(
@@ -418,6 +420,9 @@ def main(argv=None) -> int:
         return DIVERGENCE_ERROR
     except (CorpusError, IdOutOfRange, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return DATA_ERROR
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return DATA_ERROR
 
 

@@ -278,6 +278,11 @@ class CorruptFile(ValueError):
     """A file that is not, or is no longer, what its writer wrote."""
 
 
+# what parsing a file's JSON, or building an object from it, raises when the
+# data is malformed: bad or too deeply nested text, a missing key, a wrong type
+MALFORMED = (KeyError, TypeError, AttributeError, ValueError, RecursionError)
+
+
 class FormatVersionMismatch(ValueError):
     """A file of a format version this build does not read."""
 
@@ -343,7 +348,7 @@ def read_container(path, magic: bytes, version: int, kind: str) -> tuple[dict, m
         raise CorruptFile(f"checksum mismatch: {path}")
     try:
         header = json.loads(bytes(body[_PREFIX.size : start]).decode("utf-8"))
-    except (ValueError, RecursionError):
+    except MALFORMED:
         header = None
     if start > len(body) or not isinstance(header, dict):
         raise CorruptFile(f"malformed header: {path}")

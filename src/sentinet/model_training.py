@@ -16,15 +16,19 @@ Every pass runs on a batch: ids are (B, seq_len) and probabilities are
 (B, 3).  Training is plain mini-batch gradient descent (SGD or Adam) over
 the mean cross-entropy of each batch, one ``forward_backward`` call per
 batch, with a seeded shuffle per epoch and one history record per epoch
-computed over the full train and validation sets.  Both optimizers work
-in place and give the bits of the textbook update over whole tensors:
-``sgd_step`` updates only the embedding rows the batch's row-sparse
-gradient holds; ``adam_step`` decays both moments over every row, adds
-the gradient terms at the touched rows only, and builds the update in
-the two scratch arrays per parameter that ``AdamState`` keeps, in the
-textbook expression's operation order.  ``evaluate`` runs in slices of
-``EVAL_BATCH`` examples, so its memory does not grow with the corpus.
-Everything is deterministic: data, configs and seeds fix every
+computed over the full train and validation sets.  The loop is the
+generator ``epochs``, which yields each record once that epoch's
+parameters are final; ``train`` consumes it and alone sets
+``model.history``.  Parameters change in place, so a caller that changes
+them between epochs writes into the arrays, never rebinds them.  Both
+optimizers work in place and give the bits of the textbook update over
+whole tensors: ``sgd_step`` updates only the embedding rows the batch's
+row-sparse gradient holds; ``adam_step`` decays both moments over every
+row, adds the gradient terms at the touched rows only, and builds the
+update in the two scratch arrays per parameter that ``AdamState`` keeps,
+in the textbook expression's operation order.  ``evaluate`` runs in
+slices of ``EVAL_BATCH`` examples, so its memory does not grow with the
+corpus.  Everything is deterministic: data, configs and seeds fix every
 parameter, every history record, and every prediction bitwise.
 
 The model file is a container of :mod:`sentinet.corpus_io` (layout
@@ -39,6 +43,7 @@ writable views of the one buffer its file was read into, with no copy.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, astuple, dataclass, field
 
 import numpy as np
@@ -46,6 +51,7 @@ import numpy as np
 from . import tensor_core as tc
 from .corpus_io import (  # the errors of load_model and the configs are importable here too
     CLASS_NAMES,
+    MALFORMED,
     CorruptFile,
     FormatVersionMismatch,
     InvalidConfig,
@@ -414,59 +420,51 @@ def evaluate(model: Model, corpus: EncodedCorpus) -> EvalResult:
     )
 
 
+def epochs(
+    model: Model,
+    train_corpus: EncodedCorpus,
+    val_corpus: EncodedCorpus | None,
+    cfg: TrainConfig,
+) -> Iterator[EpochRecord]:
+    """Yield each epoch's record once that epoch's parameters are final.
+    The optimizer, the batch order and the validation scoring are chosen
+    once, at the first ``next()``; a None or empty validation corpus
+    records NaN.  Raises ValueError on an empty training corpus and
+    NonFiniteLoss the moment a batch loss stops being finite."""
+    if len(train_corpus) == 0:
+        raise ValueError("training corpus is empty")
+    params = model.parameters()
+    if cfg.optimizer == "adam":
+        state = AdamState(params)  # adam_step is looked up per call: a wrapper on it sees each step
+        step = lambda grads: adam_step(params, grads, state, cfg)
+    else:
+        step = lambda grads: sgd_step(params, grads, cfg.learning_rate)
+    order = tc.Rng(cfg.seed).split("epoch-shuffle").permutation if cfg.shuffle else np.arange
+    batch_cuts = range(cfg.batch_size, len(train_corpus), cfg.batch_size)
+    no_val = EvalResult(math.nan, math.nan, [])
+    score_val = (lambda: evaluate(model, val_corpus)) if val_corpus else (lambda: no_val)
+    sequences, labels = train_corpus.sequences, train_corpus.labels
+
+    for epoch in range(1, cfg.epochs + 1):
+        for batch_index, batch in enumerate(np.split(order(len(train_corpus)), batch_cuts)):
+            loss, grads = model.forward_backward(sequences[batch], labels[batch])
+            if not math.isfinite(loss):
+                raise NonFiniteLoss(epoch, batch_index)
+            step(grads)
+        fit, val = evaluate(model, train_corpus), score_val()
+        yield EpochRecord(epoch, fit.loss, fit.accuracy, val.loss, val.accuracy)
+
+
 def train(
     model: Model,
     train_corpus: EncodedCorpus,
     val_corpus: EncodedCorpus | None,
     cfg: TrainConfig,
 ) -> tuple[Model, EpochHistory]:
-    """Run the mini-batch loop; returns the model and its per-epoch history.
-
-    The validation corpus may be None/empty, in which case the val columns
-    record NaN.  Raises NonFiniteLoss the moment a batch loss stops being
-    finite.
-    """
-    if len(train_corpus) == 0:
-        raise ValueError("training corpus is empty")
-    params = model.parameters()
-    adam_state = AdamState(params) if cfg.optimizer == "adam" else None
-    shuffle_rng = tc.Rng(cfg.seed).split("epoch-shuffle")
-    history = EpochHistory()
-    have_val = val_corpus is not None and len(val_corpus) > 0
-
-    for epoch in range(1, cfg.epochs + 1):
-        if cfg.shuffle:
-            order = shuffle_rng.permutation(len(train_corpus))
-        else:
-            order = np.arange(len(train_corpus))
-        for batch_index, start in enumerate(range(0, len(order), cfg.batch_size)):
-            batch = order[start : start + cfg.batch_size]
-            loss, grads = model.forward_backward(
-                train_corpus.sequences[batch], train_corpus.labels[batch]
-            )
-            if not math.isfinite(loss):
-                raise NonFiniteLoss(epoch, batch_index)
-            if adam_state is not None:
-                adam_step(params, grads, adam_state, cfg)
-            else:
-                sgd_step(params, grads, cfg.learning_rate)
-        train_eval = evaluate(model, train_corpus)
-        if have_val:
-            val_eval = evaluate(model, val_corpus)
-            val_loss, val_acc = val_eval.loss, val_eval.accuracy
-        else:
-            val_loss = val_acc = float("nan")
-        history.records.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=train_eval.loss,
-                train_accuracy=train_eval.accuracy,
-                val_loss=val_loss,
-                val_accuracy=val_acc,
-            )
-        )
-    model.history = history
-    return model, history
+    """Run every epoch of :func:`epochs`; returns the model and its history,
+    which is also ``model.history``."""
+    model.history = EpochHistory(list(epochs(model, train_corpus, val_corpus, cfg)))
+    return model, model.history
 
 
 def predict_text(model: Model, raw: str) -> tuple[int, np.ndarray]:
@@ -508,7 +506,7 @@ def load_model(path) -> Model:
         pipeline = header["pipeline"]
         pipeline = None if pipeline is None else PipelineConfig.from_json(pipeline)
         history = EpochHistory([EpochRecord(*row) for row in header["history"]])
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except MALFORMED as exc:
         raise CorruptFile(f"malformed header: {path}") from exc
     offset = 0
 

@@ -489,6 +489,8 @@ class TestDamagedCache:
         ("vocab.json", '{"tokens": 5, "min_frequency": 1}'),
         ("meta.json", '{"stop_words": 5, "drop_hashtag_words": false, "dedupe": false}'),
         ("meta.json", "{}"),
+        pytest.param("vocab.json", "[" * 100_000 + "]" * 100_000, id="vocab.json-nested"),
+        pytest.param("meta.json", "[" * 100_000 + "]" * 100_000, id="meta.json-nested"),
     ])
     def test_malformed_json_file_exits_2(self, prepared, trained, tmp_path, capsys, name, text):
         _, data_dir = prepared
@@ -612,6 +614,13 @@ class TestPredict:
         assert code == 2
         assert "malformed header" in capsys.readouterr().err
 
+    def test_header_sequence_length_beyond_memory_exits_2(self, model_path, tmp_path, capsys):
+        bad = tmp_path / "model.bin"
+        bad.write_bytes(model_path.read_bytes())
+        rewrite_header(bad, lambda header: header["config"].update(seq_len=10**15))
+        assert cli.main(["predict", "--model", str(bad), "a splendid day"]) == 2
+        assert "not enough memory" in one_error_line(capsys)
+
     def test_stdin_lines(self, model_path, capsys, monkeypatch):
         import io
 
@@ -725,6 +734,24 @@ class TestUsageErrors:
             argv = train_args(data_dir, out, **{flag[2:]: value})
         assert cli.main(argv) == 1
         one_error_line(capsys, prefix="invalid configuration: ")
+        assert not out.exists()
+
+    # sizes whose first array cannot be allocated, so the test uses no memory
+    @pytest.mark.parametrize("case", [
+        "ingest --seq-len 1000000000000000",
+        "train --embed-dim 1000000000000000",
+        "train --filters 1000000000000000",
+    ], ids=lambda case: case.replace(" ", "_"))
+    def test_size_beyond_memory_exits_2(self, prepared, tmp_path, capsys, case):
+        csv_path, data_dir = prepared
+        command, flag, value = case.split()
+        out = tmp_path / "out"
+        if command == "ingest":
+            argv = ["ingest", "--csv", str(csv_path), "--out-dir", str(out), flag, value]
+        else:
+            argv = train_args(data_dir, out, **{flag[2:]: value})
+        assert cli.main(argv) == 2
+        assert "not enough memory" in one_error_line(capsys)
         assert not out.exists()
 
 

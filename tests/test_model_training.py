@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -27,6 +29,7 @@ from sentinet.model_training import (
     TrainConfig,
     adam_step,
     build_model,
+    epochs,
     evaluate,
     load_model,
     predict_text,
@@ -303,10 +306,12 @@ class TestTrain:
                              window=2, filters=2, hidden=3)
         model = build_model(config, vocab, Rng(1))
         model.stages["head"].bias[0] = float("nan")
+        before = model.history
         with pytest.raises(NonFiniteLoss) as err:
             train(model, corpus, None, TrainConfig(epochs=1, seed=0))
         assert err.value.epoch == 1
         assert err.value.batch == 0
+        assert model.history is before and model.history.records == []
 
     def test_epochs_zero_returns_empty_history(self, toy_corpus):
         corpus, vocab, _ = toy_corpus
@@ -321,6 +326,41 @@ class TestTrain:
         empty = EncodedCorpus(np.empty((0, 7), dtype=np.int64), np.empty(0, dtype=np.int64))
         with pytest.raises(ValueError, match="training corpus is empty"):
             train(model, empty, None, TrainConfig(epochs=1))
+
+    def test_empty_training_corpus_raises_at_first_next(self):
+        model, _ = small_model()
+        empty = EncodedCorpus(np.empty((0, 7), dtype=np.int64), np.empty(0, dtype=np.int64))
+        run = epochs(model, empty, None, TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match="training corpus is empty"):
+            next(run)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_epochs_yields_the_records_train_keeps(self, toy_corpus, optimizer):
+        corpus, vocab, _ = toy_corpus
+        config = ModelConfig(variant="cnn-lstm", seq_len=corpus.n, embed_dim=4,
+                             window=3, filters=3, hidden=4)
+        cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=0.05,
+                          optimizer=optimizer, seed=21)
+        consumed, driven = (build_model(config, vocab, Rng(21)) for _ in range(2))
+        _, history = train(consumed, corpus, corpus, cfg)
+        assert list(epochs(driven, corpus, corpus, cfg)) == history.records
+        assert_bit_equal(driven.parameters(), consumed.parameters())
+        assert len(driven.history) == 0  # only train sets it
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_stopping_after_an_epoch_leaves_that_epochs_parameters(self, toy_corpus,
+                                                                   optimizer):
+        """Stopping after epoch 2 of 5 gives the parameters of a 2-epoch run."""
+        corpus, vocab, _ = toy_corpus
+        config = ModelConfig(variant="cnn-lstm", seq_len=corpus.n, embed_dim=4,
+                             window=3, filters=3, hidden=4)
+        cfg = TrainConfig(epochs=5, batch_size=8, learning_rate=0.05,
+                          optimizer=optimizer, seed=21)
+        stopped, short = (build_model(config, vocab, Rng(21)) for _ in range(2))
+        records = list(itertools.islice(epochs(stopped, corpus, corpus, cfg), 2))
+        _, history = train(short, corpus, corpus, dataclasses.replace(cfg, epochs=2))
+        assert records == history.records
+        assert_bit_equal(stopped.parameters(), short.parameters())
 
     def test_without_shuffle_batches_follow_corpus_order(self, toy_corpus):
         corpus, vocab, _ = toy_corpus

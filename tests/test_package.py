@@ -17,7 +17,8 @@ PUBLIC = {
     "layers": ("ConvLayer", "DenseSoftmax", "EmbeddingLayer", "LstmLayer"),
     "metrics": ("ConfusionMatrix3", "confusion", "macro_report"),
     "model_training": ("EpochHistory", "Model", "ModelConfig", "TrainConfig", "build_model",
-                       "evaluate", "load_model", "predict_text", "save_model", "train"),
+                       "epochs", "evaluate", "load_model", "predict_text", "save_model",
+                       "train"),
     "preprocess": ("PipelineConfig", "StopWordList", "Vocabulary", "build_vocabulary",
                    "default_stop_words", "encode_and_pad", "preprocess_pipeline"),
     "stemming": ("stem",),
