@@ -24,9 +24,11 @@ them between epochs writes into the arrays, never rebinds them.  Both
 optimizers work in place and give the bits of the textbook update over
 whole tensors: ``sgd_step`` updates only the embedding rows the batch's
 row-sparse gradient holds; ``adam_step`` decays both moments over every
-row, adds the gradient terms at the touched rows only, and builds the
-update in the two scratch arrays per parameter that ``AdamState`` keeps,
-in the textbook expression's operation order.  ``evaluate`` runs in
+row, adds the gradient terms at the touched rows only, and builds and
+applies the update in the textbook expression's operation order, in
+blocks of whole leading-axis rows of about ``ADAM_BLOCK`` elements that
+stay in cache, through one pair of block-sized scratch buffers that
+``AdamState`` shares across all parameters.  ``evaluate`` runs in
 slices of ``EVAL_BATCH`` examples, so its memory does not grow with the
 corpus.  Everything is deterministic: data, configs and seeds fix every
 parameter, every history record, and every prediction bitwise.
@@ -83,6 +85,9 @@ FORMAT_VERSION = 2
 # examples per forward pass in evaluate, so that its working memory stays
 # the same whatever the corpus size
 EVAL_BATCH = 64
+# elements in one block of adam_step's update: a block's parameter, moments
+# and two scratch slices, 640 KB of float64, stay in a 2 MB L2 cache
+ADAM_BLOCK = 1 << 14
 
 
 # A stage maker builds one stage's layer from the config and its input
@@ -129,10 +134,11 @@ VARIANTS = tuple(STAGES)
 
 
 class NonFiniteLoss(ArithmeticError):
-    """Training diverged: a batch produced a NaN/inf loss."""
+    """Training diverged: a batch produced a NaN/inf loss, or a value in a
+    batch or its epoch's re-evaluation overflowed or became NaN."""
 
     def __init__(self, epoch: int, batch: int):
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
+        super().__init__(f"non-finite value at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
 
@@ -352,13 +358,16 @@ def sgd_step(params: dict, grads: dict, learning_rate: float) -> None:
 
 class AdamState:
     """Adam's two moments per parameter, zero at first, and the steps taken
-    so far.  Two scratch arrays per parameter, ``scratch[name]``, hold the
-    update while adam_step builds it."""
+    so far.  ``scratch`` is one pair of flat buffers, shared by every
+    parameter, in which adam_step builds the update a block at a time: each
+    holds ADAM_BLOCK elements, or one leading-axis row where a row is
+    longer."""
 
     def __init__(self, params: dict):
         self.first_moment = {n: np.zeros_like(p) for n, p in params.items()}
         self.second_moment = {n: np.zeros_like(p) for n, p in params.items()}
-        self.scratch = {n: (np.empty_like(p), np.empty_like(p)) for n, p in params.items()}
+        size = max([ADAM_BLOCK, *(math.prod(p.shape[1:]) for p in params.values())])
+        self.scratch = (np.empty(size), np.empty(size))
         self.step = 0
 
 
@@ -366,8 +375,9 @@ def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> 
     """One bias-corrected Adam update (Kingma & Ba 2014), in place.
 
     Both moments decay over the whole tensor, and the gradient terms are
-    added only where the gradient can be nonzero.  The update is built in
-    the state's scratch arrays, in the order of the expression
+    added only where the gradient can be nonzero.  The update is then built
+    and applied in blocks of whole leading-axis rows, views of the caller's
+    arrays that fit the state's scratch, in the order of the expression
     theta -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), so
     every parameter and moment gets the bits that expression gives.  One
     exception, at beta1 <= 1/2 only: a first moment that decays from
@@ -376,7 +386,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> 
     the same either way.
     """
     state.step += 1
-    t = state.step
+    m_scale, v_scale = 1.0 - cfg.beta1**state.step, 1.0 - cfg.beta2**state.step
+    step_buf, denom_buf = state.scratch
     for name, grad in grads.items():
         index, g = _nonzero_part(params, name, grad)
         m = state.first_moment[name]
@@ -385,14 +396,20 @@ def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> 
         m[index] += (1.0 - cfg.beta1) * g
         v *= cfg.beta2
         v[index] += (1.0 - cfg.beta2) * g * g
-        step, denom = state.scratch[name]
-        np.divide(m, 1.0 - cfg.beta1**t, out=step)
-        np.multiply(cfg.learning_rate, step, out=step)
-        np.divide(v, 1.0 - cfg.beta2**t, out=denom)
-        np.sqrt(denom, out=denom)
-        np.add(denom, cfg.epsilon, out=denom)
-        np.divide(step, denom, out=step)
-        params[name] -= step
+        theta = params[name]
+        per_block = len(step_buf) // math.prod(theta.shape[1:])
+        for start in range(0, len(theta), per_block):
+            rows = slice(start, start + per_block)
+            block = theta[rows]
+            step = step_buf[: block.size].reshape(block.shape)
+            denom = denom_buf[: block.size].reshape(block.shape)
+            np.divide(m[rows], m_scale, out=step)
+            np.multiply(cfg.learning_rate, step, out=step)
+            np.divide(v[rows], v_scale, out=denom)
+            np.sqrt(denom, out=denom)
+            np.add(denom, cfg.epsilon, out=denom)
+            np.divide(step, denom, out=step)
+            block -= step
 
 
 @dataclass(frozen=True)
@@ -430,7 +447,8 @@ def epochs(
     The optimizer, the batch order and the validation scoring are chosen
     once, at the first ``next()``; a None or empty validation corpus
     records NaN.  Raises ValueError on an empty training corpus and
-    NonFiniteLoss the moment a batch loss stops being finite."""
+    NonFiniteLoss the moment a batch loss stops being finite, or a batch
+    or the epoch's re-evaluation overflows or makes a NaN anywhere."""
     if len(train_corpus) == 0:
         raise ValueError("training corpus is empty")
     params = model.parameters()
@@ -446,12 +464,17 @@ def epochs(
     sequences, labels = train_corpus.sequences, train_corpus.labels
 
     for epoch in range(1, cfg.epochs + 1):
-        for batch_index, batch in enumerate(np.split(order(len(train_corpus)), batch_cuts)):
-            loss, grads = model.forward_backward(sequences[batch], labels[batch])
-            if not math.isfinite(loss):
-                raise NonFiniteLoss(epoch, batch_index)
-            step(grads)
-        fit, val = evaluate(model, train_corpus), score_val()
+        batches = np.split(order(len(train_corpus)), batch_cuts)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for batch_index, batch in enumerate(batches):
+                    loss, grads = model.forward_backward(sequences[batch], labels[batch])
+                    if not math.isfinite(loss):
+                        raise NonFiniteLoss(epoch, batch_index)
+                    step(grads)
+                fit, val = evaluate(model, train_corpus), score_val()
+        except FloatingPointError as exc:  # re-evaluation counts as the last batch
+            raise NonFiniteLoss(epoch, batch_index) from exc
         yield EpochRecord(epoch, fit.loss, fit.accuracy, val.loss, val.accuracy)
 
 

@@ -176,6 +176,17 @@ class TestTrain:
         code = cli.main(train_args(data_dir, tmp_path / "boom"))
         assert code == 3
 
+    @pytest.mark.parametrize("lr", ["1e200", "1e300"])
+    @pytest.mark.parametrize("variant", ["cnn-lstm", "cnn", "lstm"])
+    def test_overflowing_run_exits_3(self, prepared, tmp_path, capsys, variant, lr):
+        """At such rates the parameters overflow while the saturated tanh
+        keeps the loss finite; the overflow itself stops the run."""
+        _, data_dir = prepared
+        out = tmp_path / "boom"
+        assert cli.main(train_args(data_dir, out, variant=variant, lr=lr)) == 3
+        one_error_line(capsys, prefix="training diverged: ")
+        assert not out.exists()
+
     def test_config_file_with_flag_override(self, prepared, tmp_path):
         _, data_dir = prepared
         ini = tmp_path / "run.ini"

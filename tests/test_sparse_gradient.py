@@ -7,16 +7,21 @@ reference holds +0.0 fails like any other difference.
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sentinet import model_training
 from sentinet.layers import EmbeddingLayer, RowSparse
-from sentinet.model_training import AdamState, TrainConfig, adam_step, sgd_step
+from sentinet.model_training import ADAM_BLOCK, AdamState, TrainConfig, adam_step, sgd_step
 from sentinet.preprocess import PAD_ID
 
 from oracles import dense_adam_step, dense_embedding_backward, dense_sgd_step
 
 ORACLE = settings(max_examples=40, deadline=None)
+# adam_step's block sizes, in elements: tiny ones split a small table into
+# many blocks, so that touched rows fall on both sides of block edges
+BLOCKS = st.sampled_from((1, 3, 7, ADAM_BLOCK))
 
 
 def assert_bitwise(actual: dict, expected: dict, what: str) -> None:
@@ -69,16 +74,19 @@ def test_embedding_gradient_is_the_dense_one(data, vocab, k, seed):
     beta1=st.sampled_from((0.6, 0.9)),
     beta2=st.sampled_from((0.0, 0.5, 0.999)),
     steps=st.integers(5, 7),
+    block=BLOCKS,
 )
 def test_optimizer_steps_are_the_dense_ones(
-    data, vocab, k, seed, optimizer, learning_rate, beta1, beta2, steps
+    data, vocab, k, seed, optimizer, learning_rate, beta1, beta2, steps, block
 ):
     gen = np.random.default_rng(seed)
     table = gen.uniform(-1.0, 1.0, (vocab, k))
     table[PAD_ID] = 0.0
     params = {"embedding.table": table, "head.weights": gen.uniform(-1.0, 1.0, (3, k))}
     expected = {name: p.copy() for name, p in params.items()}
-    state, expected_state = AdamState(params), AdamState(expected)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_training, "ADAM_BLOCK", block)
+        state, expected_state = AdamState(params), AdamState(expected)
     cfg = TrainConfig(learning_rate=learning_rate, beta1=beta1, beta2=beta2)
     layer = EmbeddingLayer(table)
     for _ in range(steps):
@@ -99,6 +107,66 @@ def test_optimizer_steps_are_the_dense_ones(
         assert_bitwise(state.first_moment, expected_state.first_moment, "m")
         assert_bitwise(state.second_moment, expected_state.second_moment, "v")
     assert state.step == expected_state.step
+
+
+@ORACLE
+@given(
+    vocab=st.integers(2, 12),
+    k=st.integers(2, 4),
+    seed=st.integers(0, 99),
+    layout=st.sampled_from(("fortran", "transposed", "strided")),
+    block=BLOCKS,
+)
+def test_adam_updates_a_non_contiguous_parameter_in_place(vocab, k, seed, layout, block):
+    """Blocks are views of the caller's array whatever its layout: a
+    flattened copy of a non-contiguous parameter would take the update."""
+    gen = np.random.default_rng(seed)
+    values = gen.uniform(-1.0, 1.0, (vocab, k))
+    if layout == "fortran":
+        table = np.asfortranarray(values)
+    elif layout == "transposed":
+        table = np.ascontiguousarray(values.T).T
+    else:
+        table = np.zeros((vocab, 2 * k))[:, ::2]
+        table[...] = values
+    assert not table.flags.c_contiguous
+    params = {"t": table, "w": gen.uniform(-1.0, 1.0, (k, vocab)).T}
+    expected = {name: p.copy() for name, p in params.items()}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_training, "ADAM_BLOCK", block)
+        state, expected_state = AdamState(params), AdamState(expected)
+    cfg = TrainConfig(learning_rate=0.05)
+    for _ in range(5):
+        rows = np.unique(gen.integers(0, vocab, 3))
+        sparse = RowSparse(rows, gen.normal(size=(len(rows), k)), (vocab, k))
+        dense = gen.normal(size=(vocab, k))
+        adam_step(params, {"t": sparse, "w": dense}, state, cfg)
+        dense_adam_step(expected, {"t": np.asarray(sparse), "w": dense}, expected_state, cfg)
+    assert_bitwise(params, expected, "param")
+    assert_bitwise(state.first_moment, expected_state.first_moment, "m")
+    assert_bitwise(state.second_moment, expected_state.second_moment, "v")
+
+
+def test_adam_state_holds_the_moments_and_two_blocks_of_scratch():
+    """Two moments per parameter plus one pair of block-sized scratch
+    buffers shared by all of them, however many blocks a table spans."""
+    params = {
+        "embedding.table": np.zeros((3 * ADAM_BLOCK // 64 + 5, 64)),
+        "conv.filters": np.zeros((8, 3, 64)),
+        "head.bias": np.zeros(3),
+    }
+    state = AdamState(params)
+
+    def held(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (dict, tuple, list)):
+            for item in value.values() if isinstance(value, dict) else value:
+                yield from held(item)
+
+    moments = 2 * sum(p.nbytes for p in params.values())
+    assert sum(a.nbytes for a in held([state.first_moment, state.second_moment])) == moments
+    assert sum(a.nbytes for a in held(vars(state))) <= moments + 2 * ADAM_BLOCK * 8
 
 
 def test_underflowed_first_moment_keeps_its_sign():
