@@ -26,7 +26,8 @@ Exit codes: 0 success; 1 usage error, which is a bad flag or config file
 or a setting outside its range (every ``InvalidConfig``); 2 I/O or format
 error in an input file, or a size setting or model header that asks for
 more memory than there is (``MemoryError``, reported as "not enough
-memory"); 3 numerical divergence during training.
+memory"); 3 numerical divergence during training; 130 interrupted
+(Ctrl-C), reported as one "interrupted" line instead of a traceback.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ from .preprocess import (
 )
 from .tensor_core import Rng
 
-USAGE_ERROR, DATA_ERROR, DIVERGENCE_ERROR = 1, 2, 3
+USAGE_ERROR, DATA_ERROR, DIVERGENCE_ERROR, INTERRUPTED = 1, 2, 3, 130
 CACHE_FILE = "encoded.bin"
 
 
@@ -363,7 +364,7 @@ def cmd_evaluate(args, values) -> int:
         )
         encoded = encoded.subset(parts[args.split])
     result = evaluate(model, encoded)
-    cm = metrics.confusion(result.predictions, [int(l) for l in encoded.labels])
+    cm = metrics.confusion(result.predictions, encoded.labels)
     report = metrics.macro_report(cm)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -424,6 +425,9 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         print(f"error: not enough memory: {exc}", file=sys.stderr)
         return DATA_ERROR
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -24,14 +24,13 @@ them between epochs writes into the arrays, never rebinds them.  Both
 optimizers work in place and give the bits of the textbook update over
 whole tensors: ``sgd_step`` updates only the embedding rows the batch's
 row-sparse gradient holds; ``adam_step`` decays both moments over every
-row, adds the gradient terms at the touched rows only, and builds and
-applies the update in the textbook expression's operation order, in
-blocks of whole leading-axis rows of about ``ADAM_BLOCK`` elements that
-stay in cache, through one pair of block-sized scratch buffers that
-``AdamState`` shares across all parameters.  ``evaluate`` runs in
-slices of ``EVAL_BATCH`` examples, so its memory does not grow with the
-corpus.  Everything is deterministic: data, configs and seeds fix every
-parameter, every history record, and every prediction bitwise.
+row, adds the gradient terms at the touched rows only, and applies the
+textbook expression in blocks of whole leading-axis rows of about
+``ADAM_BLOCK`` elements, so that its temporaries stay block-sized and in
+cache.  ``evaluate`` runs in slices of ``EVAL_BATCH`` examples, so its
+memory does not grow with the corpus.  Everything is deterministic: data,
+configs and seeds fix every parameter, every history record, and every
+prediction bitwise.
 
 The model file is a container of :mod:`sentinet.corpus_io` (layout
 there) with magic ``SNET`` and version 2.  Its header holds ``config``,
@@ -86,7 +85,7 @@ FORMAT_VERSION = 2
 # the same whatever the corpus size
 EVAL_BATCH = 64
 # elements in one block of adam_step's update: a block's parameter, moments
-# and two scratch slices, 640 KB of float64, stay in a 2 MB L2 cache
+# and temporaries stay in a 2 MB L2 cache, and no temporary is table-sized
 ADAM_BLOCK = 1 << 14
 
 
@@ -358,16 +357,11 @@ def sgd_step(params: dict, grads: dict, learning_rate: float) -> None:
 
 class AdamState:
     """Adam's two moments per parameter, zero at first, and the steps taken
-    so far.  ``scratch`` is one pair of flat buffers, shared by every
-    parameter, in which adam_step builds the update a block at a time: each
-    holds ADAM_BLOCK elements, or one leading-axis row where a row is
-    longer."""
+    so far."""
 
     def __init__(self, params: dict):
         self.first_moment = {n: np.zeros_like(p) for n, p in params.items()}
         self.second_moment = {n: np.zeros_like(p) for n, p in params.items()}
-        size = max([ADAM_BLOCK, *(math.prod(p.shape[1:]) for p in params.values())])
-        self.scratch = (np.empty(size), np.empty(size))
         self.step = 0
 
 
@@ -375,19 +369,19 @@ def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> 
     """One bias-corrected Adam update (Kingma & Ba 2014), in place.
 
     Both moments decay over the whole tensor, and the gradient terms are
-    added only where the gradient can be nonzero.  The update is then built
-    and applied in blocks of whole leading-axis rows, views of the caller's
-    arrays that fit the state's scratch, in the order of the expression
-    theta -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps), so
-    every parameter and moment gets the bits that expression gives.  One
-    exception, at beta1 <= 1/2 only: a first moment that decays from
-    below to zero in a row the batch did not touch stays -0.0, where
-    adding the zero gradient term would give +0.0.  The parameters are
-    the same either way.
+    added only where the gradient can be nonzero.  The update
+    theta -= lr * (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps) is then
+    applied in blocks of whole leading-axis rows, views of the caller's
+    arrays whatever their layout, so that its temporaries are block-sized;
+    every parameter and moment gets the bits the whole-tensor expression
+    gives.  One exception, at beta1 <= 1/2 only: a first moment that
+    decays from below to zero in a row the batch did not touch stays -0.0,
+    where adding the zero gradient term would give +0.0.  The parameters
+    are the same either way.
     """
     state.step += 1
     m_scale, v_scale = 1.0 - cfg.beta1**state.step, 1.0 - cfg.beta2**state.step
-    step_buf, denom_buf = state.scratch
+    lr, eps = cfg.learning_rate, cfg.epsilon
     for name, grad in grads.items():
         index, g = _nonzero_part(params, name, grad)
         m = state.first_moment[name]
@@ -397,19 +391,10 @@ def adam_step(params: dict, grads: dict, state: AdamState, cfg: TrainConfig) -> 
         v *= cfg.beta2
         v[index] += (1.0 - cfg.beta2) * g * g
         theta = params[name]
-        per_block = len(step_buf) // math.prod(theta.shape[1:])
+        per_block = max(1, ADAM_BLOCK // math.prod(theta.shape[1:]))
         for start in range(0, len(theta), per_block):
             rows = slice(start, start + per_block)
-            block = theta[rows]
-            step = step_buf[: block.size].reshape(block.shape)
-            denom = denom_buf[: block.size].reshape(block.shape)
-            np.divide(m[rows], m_scale, out=step)
-            np.multiply(cfg.learning_rate, step, out=step)
-            np.divide(v[rows], v_scale, out=denom)
-            np.sqrt(denom, out=denom)
-            np.add(denom, cfg.epsilon, out=denom)
-            np.divide(step, denom, out=step)
-            block -= step
+            theta[rows] -= lr * (m[rows] / m_scale) / (np.sqrt(v[rows] / v_scale) + eps)
 
 
 @dataclass(frozen=True)

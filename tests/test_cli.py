@@ -176,6 +176,18 @@ class TestTrain:
         code = cli.main(train_args(data_dir, tmp_path / "boom"))
         assert code == 3
 
+    def test_interrupt_exits_130(self, prepared, tmp_path, capsys, monkeypatch):
+        _, data_dir = prepared
+
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "train", interrupt)
+        out = tmp_path / "stopped"
+        assert cli.main(train_args(data_dir, out)) == 130
+        assert capsys.readouterr().err == "interrupted\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("lr", ["1e200", "1e300"])
     @pytest.mark.parametrize("variant", ["cnn-lstm", "cnn", "lstm"])
     def test_overflowing_run_exits_3(self, prepared, tmp_path, capsys, variant, lr):
@@ -639,6 +651,16 @@ class TestPredict:
         code = cli.main(["predict", "--model", str(model_path), "--stdin"])
         assert code == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
+
+    def test_interrupted_stdin_exits_130(self, model_path, capsys, monkeypatch):
+        class InterruptedStdin:
+            def __iter__(self):
+                yield "routine update\n"
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr("sys.stdin", InterruptedStdin())
+        assert cli.main(["predict", "--model", str(model_path), "--stdin"]) == 130
+        assert capsys.readouterr().err == "interrupted\n"
 
 
 class TestHistoryExport:

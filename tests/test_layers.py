@@ -114,6 +114,19 @@ class TestEmbedding:
         grads, _ = layer.backward(cache, np.ones_like(out))
         npt.assert_array_equal(np.asarray(grads["table"])[0], 0.0)
 
+    def test_sparse_gradient_acts_as_its_dense_array(self):
+        """The array protocol callers rely on: comparisons and arithmetic
+        see the dense array, and no dense buffer is shared."""
+        layer = EmbeddingLayer(Rng(8).uniform(-1, 1, (6, 3)))
+        out, cache = layer.forward(np.array([[4, 1, 4, 0]]))
+        g = layer.backward(cache, Rng(9).uniform(-1, 1, out.shape))[0]["table"]
+        dense = np.asarray(g)
+        with pytest.raises(ValueError):
+            np.asarray(g, copy=False)
+        npt.assert_array_equal(g != 0.0, dense != 0.0)
+        npt.assert_array_equal(g * 2.0, dense * 2.0)
+        assert len(g) == g.shape[0] == 6
+
     def test_finite_difference(self):
         table = Rng(6).uniform(-0.7, 0.7, (7, 4))
         table[0] = 0.0

@@ -5,6 +5,8 @@ Arrays are compared through ``.view(np.uint64)``, so that a -0.0 where the
 reference holds +0.0 fails like any other difference.
 """
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -84,28 +86,28 @@ def test_optimizer_steps_are_the_dense_ones(
     table[PAD_ID] = 0.0
     params = {"embedding.table": table, "head.weights": gen.uniform(-1.0, 1.0, (3, k))}
     expected = {name: p.copy() for name, p in params.items()}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(model_training, "ADAM_BLOCK", block)
-        state, expected_state = AdamState(params), AdamState(expected)
+    state, expected_state = AdamState(params), AdamState(expected)
     cfg = TrainConfig(learning_rate=learning_rate, beta1=beta1, beta2=beta2)
     layer = EmbeddingLayer(table)
-    for _ in range(steps):
-        ids = data.draw(id_batches(vocab))
-        d_out = gen.normal(size=ids.shape + (k,))
-        grads = {
-            "embedding.table": layer.backward(ids, d_out)[0]["table"],
-            "head.weights": gen.normal(size=(3, k)),
-        }
-        dense = {**grads, "embedding.table": dense_embedding_backward(table.shape, ids, d_out)}
-        if optimizer == "adam":
-            adam_step(params, grads, state, cfg)
-            dense_adam_step(expected, dense, expected_state, cfg)
-        else:
-            sgd_step(params, grads, learning_rate)
-            dense_sgd_step(expected, dense, learning_rate)
-        assert_bitwise(params, expected, "param")
-        assert_bitwise(state.first_moment, expected_state.first_moment, "m")
-        assert_bitwise(state.second_moment, expected_state.second_moment, "v")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_training, "ADAM_BLOCK", block)
+        for _ in range(steps):
+            ids = data.draw(id_batches(vocab))
+            d_out = gen.normal(size=ids.shape + (k,))
+            grads = {
+                "embedding.table": layer.backward(ids, d_out)[0]["table"],
+                "head.weights": gen.normal(size=(3, k)),
+            }
+            dense = {**grads, "embedding.table": dense_embedding_backward(table.shape, ids, d_out)}
+            if optimizer == "adam":
+                adam_step(params, grads, state, cfg)
+                dense_adam_step(expected, dense, expected_state, cfg)
+            else:
+                sgd_step(params, grads, learning_rate)
+                dense_sgd_step(expected, dense, learning_rate)
+            assert_bitwise(params, expected, "param")
+            assert_bitwise(state.first_moment, expected_state.first_moment, "m")
+            assert_bitwise(state.second_moment, expected_state.second_moment, "v")
     assert state.step == expected_state.step
 
 
@@ -132,24 +134,24 @@ def test_adam_updates_a_non_contiguous_parameter_in_place(vocab, k, seed, layout
     assert not table.flags.c_contiguous
     params = {"t": table, "w": gen.uniform(-1.0, 1.0, (k, vocab)).T}
     expected = {name: p.copy() for name, p in params.items()}
+    state, expected_state = AdamState(params), AdamState(expected)
+    cfg = TrainConfig(learning_rate=0.05)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model_training, "ADAM_BLOCK", block)
-        state, expected_state = AdamState(params), AdamState(expected)
-    cfg = TrainConfig(learning_rate=0.05)
-    for _ in range(5):
-        rows = np.unique(gen.integers(0, vocab, 3))
-        sparse = RowSparse(rows, gen.normal(size=(len(rows), k)), (vocab, k))
-        dense = gen.normal(size=(vocab, k))
-        adam_step(params, {"t": sparse, "w": dense}, state, cfg)
-        dense_adam_step(expected, {"t": np.asarray(sparse), "w": dense}, expected_state, cfg)
+        for _ in range(5):
+            rows = np.unique(gen.integers(0, vocab, 3))
+            sparse = RowSparse(rows, gen.normal(size=(len(rows), k)), (vocab, k))
+            dense = gen.normal(size=(vocab, k))
+            adam_step(params, {"t": sparse, "w": dense}, state, cfg)
+            dense_adam_step(expected, {"t": np.asarray(sparse), "w": dense}, expected_state, cfg)
     assert_bitwise(params, expected, "param")
     assert_bitwise(state.first_moment, expected_state.first_moment, "m")
     assert_bitwise(state.second_moment, expected_state.second_moment, "v")
 
 
-def test_adam_state_holds_the_moments_and_two_blocks_of_scratch():
-    """Two moments per parameter plus one pair of block-sized scratch
-    buffers shared by all of them, however many blocks a table spans."""
+def test_adam_state_holds_only_the_moments():
+    """Two moments per parameter and the step count, however many blocks a
+    table spans: the update's temporaries live only inside a step."""
     params = {
         "embedding.table": np.zeros((3 * ADAM_BLOCK // 64 + 5, 64)),
         "conv.filters": np.zeros((8, 3, 64)),
@@ -165,8 +167,28 @@ def test_adam_state_holds_the_moments_and_two_blocks_of_scratch():
                 yield from held(item)
 
     moments = 2 * sum(p.nbytes for p in params.values())
+    assert sorted(vars(state)) == ["first_moment", "second_moment", "step"]
     assert sum(a.nbytes for a in held([state.first_moment, state.second_moment])) == moments
-    assert sum(a.nbytes for a in held(vars(state))) <= moments + 2 * ADAM_BLOCK * 8
+    assert sum(a.nbytes for a in held(vars(state))) == moments
+
+
+def test_adam_step_peak_memory_is_a_few_blocks():
+    """One step on a table of 16 blocks, with a sparse gradient like the
+    paper model's: the update's temporaries are block-sized, so the peak
+    stays a few blocks where a whole-table expression takes several tables."""
+    gen = np.random.default_rng(21)
+    shape = (16 * ADAM_BLOCK // 64, 64)
+    params = {"embedding.table": gen.uniform(-1.0, 1.0, shape)}
+    rows = np.sort(gen.choice(shape[0], 64, replace=False))
+    grads = {"embedding.table": RowSparse(rows, gen.normal(size=(64, 64)), shape)}
+    state = AdamState(params)
+    tracemalloc.start()
+    try:
+        adam_step(params, grads, state, TrainConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * ADAM_BLOCK * 8
 
 
 def test_underflowed_first_moment_keeps_its_sign():
