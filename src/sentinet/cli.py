@@ -22,12 +22,14 @@ since one file serves every command.  ``SETTINGS`` declares each setting
 once.  There is no interactive mode and no wall-clock seeding: identical
 inputs, flags and seeds reproduce identical outputs byte for byte.
 
-Exit codes: 0 success; 1 usage error, which is a bad flag or config file
-or a setting outside its range (every ``InvalidConfig``); 2 I/O or format
-error in an input file, or a size setting or model header that asks for
-more memory than there is (``MemoryError``, reported as "not enough
-memory"); 3 numerical divergence during training; 130 interrupted
-(Ctrl-C), reported as one "interrupted" line instead of a traceback.
+Exit codes: 0 success; 1 usage error, which is a bad flag, a config file
+that is not UTF-8 INI, or a setting outside its range (every
+``InvalidConfig``); 2 I/O or format error in an input file (a missing or
+unreadable config file included: ``OSError``), or a size setting or model
+header that asks for more memory or a larger index than there is
+(``MemoryError`` or ``OverflowError``, reported as "not enough memory");
+3 numerical divergence during training; 130 interrupted (Ctrl-C), reported
+as one "interrupted" line instead of a traceback.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import NamedTuple
 
 from . import corpus_io, metrics
 from .corpus_io import MALFORMED, CorpusError, InvalidConfig, SplitSpec
-from .layers import ACTIVATIONS, IdOutOfRange
+from .layers import ACTIVATIONS
 from .model_training import (
     VARIANTS,
     Model,
@@ -152,7 +154,7 @@ def _load_config(path: str | None) -> dict[str, str]:
                     if key in flat:
                         raise _UsageError(f"config key {key} is set more than once")
                     flat[key] = value
-        except configparser.Error as exc:
+        except (configparser.Error, UnicodeDecodeError) as exc:
             raise _UsageError("; ".join(str(exc).splitlines())) from None
     unknown = sorted(flat.keys() - {s.key for s in SETTINGS})
     if unknown:
@@ -419,10 +421,10 @@ def main(argv=None) -> int:
     except NonFiniteLoss as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return DIVERGENCE_ERROR
-    except (CorpusError, IdOutOfRange, OSError, ValueError, KeyError) as exc:
+    except (CorpusError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except MemoryError as exc:
+    except (MemoryError, OverflowError) as exc:
         print(f"error: not enough memory: {exc}", file=sys.stderr)
         return DATA_ERROR
     except KeyboardInterrupt:

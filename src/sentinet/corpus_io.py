@@ -6,8 +6,13 @@ Sentiment classes travel as the literal strings "-1", "0", "1" in CSV files
 indices 0/1/2 so one-hot targets stay simple.  The mapping is confined to
 this module's I/O boundary and to the export helpers.
 
-A row is checked once, by :func:`load_corpus`: a bad label or empty text
-aborts it with the row's number, and a :class:`LabeledExample` checks nothing.
+A row is checked once, by :func:`load_corpus`, and a :class:`LabeledExample`
+checks nothing.  :class:`CorpusError` covers every corpus that cannot be
+used: one with no data rows, a missing column, a label other than -1, 0, 1,
+text that is empty after trimming, or a header or row the csv module cannot
+parse (an oversized field), with a message naming the file and any row by
+its number; and, from :func:`stratified_indices`, a split that would leave a
+partition with a positive fraction empty.
 
 Container layout, integers little-endian, header a UTF-8 JSON object with
 sorted keys:
@@ -52,50 +57,7 @@ _EXTERNAL_TO_INTERNAL = {name: label for label, name in enumerate(CLASS_NAMES)}
 
 
 class CorpusError(Exception):
-    """Base for corpus loading and splitting failures."""
-
-
-class UnreadableRow(CorpusError):
-    """A row the csv module cannot parse, such as an oversized field."""
-
-    def __init__(self, row: int, path: str, reason: str):
-        where = "header" if row == 0 else f"row {row}"
-        super().__init__(f"{where}: {reason} ({path})")
-        self.row = row
-
-
-class MissingColumn(CorpusError):
-    def __init__(self, column: str, path: str):
-        super().__init__(f"column {column!r} not found in header of {path}")
-        self.column = column
-
-
-class UnparsableLabel(CorpusError):
-    def __init__(self, value: str, row: int, path: str):
-        super().__init__(
-            f"row {row}: label {value!r} is not one of -1, 0, 1 ({path})"
-        )
-        self.row = row
-        self.value = value
-
-
-class EmptyFile(CorpusError):
-    def __init__(self, path: str):
-        super().__init__(f"no data rows in {path}")
-
-
-class EmptyText(CorpusError):
-    def __init__(self, row: int, path: str):
-        super().__init__(f"row {row}: text is empty after trimming ({path})")
-        self.row = row
-
-
-class DegenerateSplit(CorpusError):
-    def __init__(self, label: int, partition: str):
-        super().__init__(
-            f"class {CLASS_NAMES[label]} would leave partition "
-            f"{partition!r} empty despite a positive fraction"
-        )
+    """A corpus that cannot be loaded or split (cases in the module docstring)."""
 
 
 def external_label(label: int) -> str:
@@ -161,27 +123,30 @@ def load_corpus(path, text_column: str = "text", label_column: str = "label") ->
             header = next(reader, None)
             row_number = 0
             if header is None:
-                raise EmptyFile(path)
+                raise CorpusError(f"no data rows in {path}")
             # as csv.DictReader: blank lines skipped, last repeated name wins, missing fields ""
             last = {name: at for at, name in enumerate(header)}
             for column in (text_column, label_column):
                 if column not in last:
-                    raise MissingColumn(column, path)
+                    raise CorpusError(f"column {column!r} not found in header of {path}")
             text_at, label_at = last[text_column], last[label_column]
             for row_number, row in enumerate(filter(None, reader), start=1):
                 raw_label = row[label_at] if label_at < len(row) else ""
                 try:
                     label = internal_label(raw_label)
                 except KeyError:
-                    raise UnparsableLabel(raw_label, row_number, path) from None
+                    raise CorpusError(
+                        f"row {row_number}: label {raw_label!r} is not one of -1, 0, 1 ({path})"
+                    ) from None
                 text = (row[text_at] if text_at < len(row) else "").strip()
                 if not text:
-                    raise EmptyText(row_number, path)
+                    raise CorpusError(f"row {row_number}: text is empty after trimming ({path})")
                 examples.append(LabeledExample(text=text, label=label))
         except csv.Error as exc:  # raised while reading the next row
-            raise UnreadableRow(row_number + 1, path, str(exc)) from None
+            where = "header" if row_number < 0 else f"row {row_number + 1}"
+            raise CorpusError(f"{where}: {exc} ({path})") from None
     if not examples:
-        raise EmptyFile(path)
+        raise CorpusError(f"no data rows in {path}")
     return LabeledCorpus(tuple(examples))
 
 
@@ -243,7 +208,10 @@ def stratified_indices(labels, spec: SplitSpec):
         counts = _allocate(len(idx), fractions)
         for part, count, frac in zip(range(3), counts, fractions):
             if frac > 0.0 and count == 0:
-                raise DegenerateSplit(label, names[part])
+                raise CorpusError(
+                    f"class {CLASS_NAMES[label]} would leave partition "
+                    f"{names[part]!r} empty despite a positive fraction"
+                )
         start = 0
         for part, count in enumerate(counts):
             parts[part].extend(idx[start : start + count])

@@ -39,18 +39,6 @@ from .preprocess import PAD_ID
 _LOG_EPS = 1e-12
 
 
-class IdOutOfRange(IndexError):
-    pass
-
-
-class SequenceTooShort(ValueError):
-    pass
-
-
-class EmptySequence(ValueError):
-    pass
-
-
 # the convolution's activations by name: (f, f'), f' taken of f's output
 ACTIVATIONS = {
     "tanh": (np.tanh, lambda out: 1.0 - out * out),
@@ -90,7 +78,7 @@ class EmbeddingLayer:
     def forward(self, ids):
         ids = np.asarray(ids, dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= len(self.table)):
-            raise IdOutOfRange(
+            raise ValueError(
                 f"ids {int(ids.min())}..{int(ids.max())} outside table of size {len(self.table)}"
             )
         return self.table[ids], ids
@@ -110,7 +98,7 @@ class ConvLayer:
 
     ``filters`` is an (m, h, k) stack; feature (i, j) of a sentence P is
     f(<W_j, P[i:i+h]> + b_j), so an n x k input yields an (n-h+1) x m
-    output and no pooling follows.
+    output: the step sequence the LSTM reads, or that ``MeanPool`` averages.
     """
 
     PARAMS = ("filters", "bias")
@@ -128,7 +116,7 @@ class ConvLayer:
         batch, n, k = sentences.shape
         m, h, _ = self.filters.shape
         if n < h:
-            raise SequenceTooShort(f"sequence length {n} < window {h}")
+            raise ValueError(f"sequence length {n} < window {h}")
         # (B, n-h+1, h*k): row t holds the window starting at position t
         cols = np.lib.stride_tricks.sliding_window_view(sentences, (h, k), axis=(1, 2))
         cols = cols.reshape(batch, n - h + 1, h * k)
@@ -168,7 +156,9 @@ class LstmLayer:
     Every buffer is allocated per call.  Both time loops walk per-step views
     of the (B, T, ...) buffers, and the forward writes each expression above
     into them with ``out=``; every output, cache entry and gradient has the
-    bits of those expressions evaluated one temporary at a time.
+    bits of those expressions evaluated one temporary at a time.  The
+    forward's one gate buffer holds each step's input half of the
+    pre-activation until that step overwrites it with the activated gates.
     """
 
     GATES = ("input", "forget", "output", "cell")
@@ -181,23 +171,22 @@ class LstmLayer:
     def forward(self, steps):
         batch, length, in_dim = steps.shape
         if length == 0:
-            raise EmptySequence("LSTM needs at least one step")
+            raise ValueError("LSTM needs at least one step")
         d_h = self.weights.shape[0] // 4
         w_h = self.weights[:, in_dim:].T
-        pre = steps @ self.weights[:, :in_dim].T  # (B, T, 4 d_h)
-        pre += self.bias
-        gates = np.empty_like(pre)  # activated i, f, o, g per step
+        gates = steps @ self.weights[:, :in_dim].T  # (B, T, 4 d_h)
+        gates += self.bias
         cells = np.zeros((batch, length + 1, d_h))  # cells[:, t] is c_{t-1}
         hidden = np.zeros((batch, length + 1, d_h))  # hidden[:, t] is h_{t-1}
         tanh_cells = np.empty((batch, length, d_h))
         a = np.empty((batch, 4 * d_h))  # one step's pre-activation
         a_ifo, a_g = np.split(a, [3 * d_h], axis=1)
         ifo_out, i_g = np.empty((batch, 3 * d_h)), np.empty((batch, d_h))
-        walk = (pre, gates[..., : 3 * d_h], *np.split(gates, 4, axis=2), cells[:, :-1],
+        walk = (gates, gates[..., : 3 * d_h], *np.split(gates, 4, axis=2), cells[:, :-1],
                 cells[:, 1:], hidden[:, :-1], hidden[:, 1:], tanh_cells)
         for p, ifo, i, f, o, g, c_prev, c, h_prev, h, tanh_c in _by_step(walk):
             np.matmul(h_prev, w_h, out=a)
-            a += p
+            a += p  # before the gate writes below overwrite p
             # into a contiguous buffer, then one copy: at B >= 32 the four
             # passes of the sigmoid run slower on the strided gate view
             ifo[:] = tc.sigmoid(a_ifo, out=ifo_out)

@@ -21,14 +21,6 @@ import numpy as np
 from .corpus_io import CLASS_NAMES, csv_text
 
 
-class LengthMismatch(ValueError):
-    pass
-
-
-class LabelOutOfRange(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class ConfusionMatrix3:
     """3x3 count table; cell [p][a] counts predicted p with actual a."""
@@ -61,13 +53,11 @@ def confusion(predictions, actuals) -> ConfusionMatrix3:
     predictions = np.asarray(predictions, dtype=np.int64)
     actuals = np.asarray(actuals, dtype=np.int64)
     if len(predictions) != len(actuals):
-        raise LengthMismatch(
-            f"{len(predictions)} predictions vs {len(actuals)} actuals"
-        )
+        raise ValueError(f"{len(predictions)} predictions vs {len(actuals)} actuals")
     bad = (predictions < 0) | (predictions > 2) | (actuals < 0) | (actuals > 2)
     if bad.any():
         i = int(np.argmax(bad))
-        raise LabelOutOfRange(f"labels must be 0, 1 or 2: got ({predictions[i]}, {actuals[i]})")
+        raise ValueError(f"labels must be 0, 1 or 2: got ({predictions[i]}, {actuals[i]})")
     counts = np.bincount(3 * predictions + actuals, minlength=9).reshape(3, 3)
     counts.setflags(write=False)
     return ConfusionMatrix3(counts)

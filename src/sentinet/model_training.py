@@ -159,7 +159,7 @@ class ModelConfig:
             raise InvalidConfig(f"variant must be one of {VARIANTS}: {self.variant!r}")
         for name in ("seq_len", "embed_dim", "window", "filters", "hidden"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:  # a bool is no size
                 raise InvalidConfig(f"{name} must be an integer >= 1, got {value!r}")
         if self.window > self.seq_len:
             raise InvalidConfig(
@@ -172,8 +172,9 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimization settings: a seed >= 0, a finite learning rate >= 0,
-    Adam's betas in [0, 1) and a finite epsilon > 0; InvalidConfig otherwise.
+    """Optimization settings: integer epochs and seed >= 0 and batch size
+    >= 1, a finite learning rate >= 0, Adam's betas in [0, 1) and a finite
+    epsilon > 0; InvalidConfig otherwise.
 
     epochs=0 is allowed and means "initialize only": useful for comparing
     a trained run against its starting parameters.
@@ -190,11 +191,12 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        for name in ("epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise InvalidConfig(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.batch_size < 1:
-            raise InvalidConfig(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, low in (("epochs", 0), ("seed", 0), ("batch_size", 1)):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise InvalidConfig(f"{name} must be >= {low}, got {value}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise InvalidConfig(
                 f"learning_rate must be finite and >= 0, got {self.learning_rate}"
@@ -341,7 +343,7 @@ def _nonzero_part(params: dict, name: str, grad) -> tuple:
     and its values there; every row of a dense gradient, the listed rows
     of a RowSparse one."""
     if params[name].shape != grad.shape:
-        raise tc.ShapeMismatch(f"{name}: param {params[name].shape} vs grad {grad.shape}")
+        raise ValueError(f"{name}: param {params[name].shape} vs grad {grad.shape}")
     if isinstance(grad, RowSparse):
         return grad.rows, grad.values
     return ..., grad

@@ -1,8 +1,7 @@
 """Numeric helpers: the logistic function, and the seeded random source
 from which ``model_training.build_model`` draws every initial weight.
 
-Arrays are plain ``numpy.float64``; shape errors in parameter updates
-surface as :class:`ShapeMismatch` instead of silent broadcasting.
+Arrays are plain ``numpy.float64``.
 """
 
 from __future__ import annotations
@@ -10,10 +9,6 @@ from __future__ import annotations
 import zlib
 
 import numpy as np
-
-
-class ShapeMismatch(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
 
 
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

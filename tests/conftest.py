@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import os
 import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # porter_reference, oracles
@@ -28,6 +30,24 @@ CLASS_KEYWORDS = (
     ("splendid", "joyful", "delight"),  # positive
 )
 FILLERS = ("city", "report", "update", "outbreak", "news", "today", "week", "clinic")
+
+
+def pytest_report_header(config):
+    """The seeded digests the suite pins hold for one OpenBLAS kernel, so the
+    header names numpy's version and the kernel its bundled OpenBLAS runs."""
+    return f"numpy {np.__version__}, OpenBLAS core {_openblas_core()}"
+
+
+def _openblas_core() -> str:
+    """The kernel of numpy's bundled OpenBLAS (``OPENBLAS_CORETYPE`` may set
+    it), or "unknown" if numpy bundles none."""
+    libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
 
 
 def make_toy_texts(per_class: int = 10):

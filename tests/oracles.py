@@ -20,18 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from sentinet.corpus_io import (
-    EmptyFile,
-    EmptyText,
+    CorpusError,
     InvalidConfig,
     LabeledCorpus,
     LabeledExample,
-    MissingColumn,
-    UnparsableLabel,
-    UnreadableRow,
     _allocate,
     internal_label,
 )
-from sentinet.metrics import LabelOutOfRange, LengthMismatch
 from sentinet.preprocess import PAD_ID, UNK_ID, Vocabulary, remove_stop_words
 from sentinet.stemming import _form
 
@@ -151,13 +146,11 @@ def loop_confusion(predictions, actuals) -> np.ndarray:
     predictions = list(predictions)
     actuals = list(actuals)
     if len(predictions) != len(actuals):
-        raise LengthMismatch(
-            f"{len(predictions)} predictions vs {len(actuals)} actuals"
-        )
+        raise ValueError(f"{len(predictions)} predictions vs {len(actuals)} actuals")
     counts = np.zeros((3, 3), dtype=np.int64)
     for p, a in zip(predictions, actuals):
         if not (0 <= p <= 2 and 0 <= a <= 2):
-            raise LabelOutOfRange(f"labels must be 0, 1 or 2: got ({p}, {a})")
+            raise ValueError(f"labels must be 0, 1 or 2: got ({p}, {a})")
         counts[p][a] += 1
     return counts
 
@@ -285,24 +278,27 @@ def dictreader_load_corpus(path, text_column: str = "text", label_column: str = 
             header = reader.fieldnames
             row_number = 0
             if header is None:
-                raise EmptyFile(path)
+                raise CorpusError(f"no data rows in {path}")
             for column in (text_column, label_column):
                 if column not in header:
-                    raise MissingColumn(column, path)
+                    raise CorpusError(f"column {column!r} not found in header of {path}")
             for row_number, row in enumerate(reader, start=1):
                 raw_label = row.get(label_column) or ""
                 try:
                     label = internal_label(raw_label)
                 except KeyError:
-                    raise UnparsableLabel(raw_label, row_number, path) from None
+                    raise CorpusError(
+                        f"row {row_number}: label {raw_label!r} is not one of -1, 0, 1 ({path})"
+                    ) from None
                 text = (row.get(text_column) or "").strip()
                 if not text:
-                    raise EmptyText(row_number, path)
+                    raise CorpusError(f"row {row_number}: text is empty after trimming ({path})")
                 examples.append(LabeledExample(text=text, label=label))
         except csv.Error as exc:
-            raise UnreadableRow(row_number + 1, path, str(exc)) from None
+            where = "header" if row_number < 0 else f"row {row_number + 1}"
+            raise CorpusError(f"{where}: {exc} ({path})") from None
     if not examples:
-        raise EmptyFile(path)
+        raise CorpusError(f"no data rows in {path}")
     return LabeledCorpus(tuple(examples))
 
 

@@ -644,6 +644,22 @@ class TestPredict:
         assert cli.main(["predict", "--model", str(bad), "a splendid day"]) == 2
         assert "not enough memory" in one_error_line(capsys)
 
+    def test_header_sequence_length_beyond_any_index_exits_2(self, model_path, tmp_path,
+                                                             capsys):
+        bad = tmp_path / "model.bin"
+        bad.write_bytes(model_path.read_bytes())
+        rewrite_header(bad, lambda header: header["config"].update(seq_len=2**63))
+        assert cli.main(["predict", "--model", str(bad), "a splendid day"]) == 2
+        assert "not enough memory" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("name", ["embed_dim", "window", "filters", "hidden"])
+    def test_header_boolean_size_exits_2(self, model_path, tmp_path, capsys, name):
+        bad = tmp_path / "model.bin"
+        bad.write_bytes(model_path.read_bytes())
+        rewrite_header(bad, lambda header: header["config"].update({name: True}))
+        assert cli.main(["predict", "--model", str(bad), "a splendid day"]) == 2
+        assert "malformed header" in one_error_line(capsys)
+
     def test_stdin_lines(self, model_path, capsys, monkeypatch):
         import io
 
@@ -689,11 +705,12 @@ class TestUsageErrors:
     @pytest.mark.parametrize("text", [
         "epochs = 3\n",
         "[train]\nepochs = 3\nepochs = 4\n",
-    ], ids=["no-section", "duplicate-key"])
+        b"\xff\xfe[train]\nepochs = 3\n",
+    ], ids=["no-section", "duplicate-key", "not-utf-8"])
     def test_malformed_config_file_exits_1(self, prepared, tmp_path, capsys, text):
         csv_path, _ = prepared
         ini = tmp_path / "bad.ini"
-        ini.write_text(text, encoding="utf-8")
+        ini.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         code = cli.main(
             ["ingest", "--csv", str(csv_path), "--out-dir", str(tmp_path / "o"),
              "--config", str(ini)]
@@ -772,6 +789,7 @@ class TestUsageErrors:
     # sizes whose first array cannot be allocated, so the test uses no memory
     @pytest.mark.parametrize("case", [
         "ingest --seq-len 1000000000000000",
+        "ingest --seq-len 9223372036854775808",  # 2**63: beyond any index
         "train --embed-dim 1000000000000000",
         "train --filters 1000000000000000",
     ], ids=lambda case: case.replace(" ", "_"))

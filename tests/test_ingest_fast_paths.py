@@ -237,11 +237,11 @@ def field_size_limit(limit: int):
 
 
 def outcome(load, path):
-    """The examples a loader returns, or the type, row and message it raises."""
+    """The examples a loader returns, or the type and message it raises."""
     try:
         corpus = load(path)
     except CorpusError as exc:
-        return type(exc), getattr(exc, "row", None), str(exc)
+        return type(exc), str(exc)
     return corpus.examples
 
 

@@ -38,7 +38,7 @@ from sentinet.model_training import (
     train,
 )
 from sentinet.preprocess import EncodedCorpus, build_vocabulary
-from sentinet.tensor_core import Rng, ShapeMismatch
+from sentinet.tensor_core import Rng
 
 from conftest import encode_toy_corpus, fifo_feeding, make_toy_texts
 from oracles import copying_load_parameters
@@ -128,6 +128,14 @@ class TestBuildModel:
         with pytest.raises(InvalidConfig):
             ModelConfig(variant="transformer")
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("name", ["embed_dim", "window", "filters", "hidden"])
+    def test_boolean_size_rejected(self, variant, name):
+        """A bool is an int to isinstance, but no size, even one the
+        variant never reads."""
+        with pytest.raises(InvalidConfig, match=f"^{name} must be an integer >= 1, got True"):
+            ModelConfig(variant=variant, **{name: True})
+
     def test_forget_gate_bias_starts_at_one(self):
         model, _ = small_model()
         bias = dict(zip(LstmLayer.GATES, np.split(model.stages["lstm"].bias, 4)))
@@ -145,6 +153,12 @@ class TestBuildModel:
         assert list(lstm.stages) == ["embedding", "lstm", "head"]
         both, _ = small_model("cnn-lstm")
         assert list(both.stages) == ["embedding", "conv", "lstm", "head"]
+
+
+@pytest.mark.parametrize("name, value", [("seed", 1.5), ("epochs", 2.5), ("batch_size", True)])
+def test_train_config_counts_are_integers(name, value):
+    with pytest.raises(InvalidConfig, match=f"^{name} must be an integer, got {value!r}"):
+        TrainConfig(**{name: value})
 
 
 class TestForward:
@@ -232,7 +246,7 @@ class TestOptimizers:
         npt.assert_allclose(a["w"], b["w"], atol=1e-15)
 
     def test_sgd_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=r"^w: param \(2,\) vs grad \(3,\)"):
             sgd_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, 0.1)
 
     def test_adam_single_step_hand_evaluated(self):
@@ -253,7 +267,7 @@ class TestOptimizers:
     def test_adam_shape_mismatch(self):
         params = {"w": np.zeros((2, 2))}
         state = AdamState(params)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(ValueError, match=r"^w: param \(2, 2\) vs grad \(4,\)"):
             adam_step(params, {"w": np.zeros(4)}, state, TrainConfig())
 
 

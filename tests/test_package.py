@@ -40,3 +40,22 @@ def test_layout_is_the_one_the_docstring_states():
 @pytest.mark.parametrize("module, name", CASES, ids=[name for _, name in CASES])
 def test_name_imports_from_the_package(module, name):
     assert hasattr(importlib.import_module(module), name)
+
+
+def test_one_exception_class_per_exit_code_group():
+    """The package defines exactly the exceptions the CLI tells apart:
+    usage (exit 1), bad data (exit 2) and divergence (exit 3).  Any other
+    failure raises a builtin type with its message."""
+    defined = set()
+    for stem in (p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"):
+        module = importlib.import_module(f"sentinet.{stem}")
+        defined.update(
+            f"{stem}.{name}" for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        )
+    assert defined == {
+        "cli._UsageError", "corpus_io.InvalidConfig",
+        "corpus_io.CorpusError", "corpus_io.CorruptFile", "corpus_io.FormatVersionMismatch",
+        "model_training.NonFiniteLoss",
+    }
