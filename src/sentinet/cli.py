@@ -29,14 +29,20 @@ unreadable config file included: ``OSError``), or a size setting or model
 header that asks for more memory or a larger index than there is
 (``MemoryError`` or ``OverflowError``, reported as "not enough memory");
 3 numerical divergence during training; 130 interrupted (Ctrl-C), reported
-as one "interrupted" line instead of a traceback.
+as one "interrupted" line instead of a traceback; 141 stdout closed before
+the output was written (a broken pipe, as under ``| head``), with no message.
+
+``predict --stdin`` answers each line as it reads it, so it can serve as a
+filter in a pipeline.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -70,7 +76,7 @@ from .preprocess import (
 )
 from .tensor_core import Rng
 
-USAGE_ERROR, DATA_ERROR, DIVERGENCE_ERROR, INTERRUPTED = 1, 2, 3, 130
+USAGE_ERROR, DATA_ERROR, DIVERGENCE_ERROR, INTERRUPTED, BROKEN_PIPE = 1, 2, 3, 130, 141
 CACHE_FILE = "encoded.bin"
 
 
@@ -145,7 +151,7 @@ def _load_config(path: str | None) -> dict[str, str]:
     # [DEFAULT] is a plain section, as no header can name ""; values are verbatim
     parser = configparser.ConfigParser(default_section="", interpolation=None)
     flat: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is skipped
         try:
             parser.read_file(fh)
             for section in parser.sections():
@@ -380,13 +386,12 @@ def cmd_evaluate(args, values) -> int:
 
 def cmd_predict(args, values) -> int:
     model = load_model(args.model)
-    texts = list(args.texts)
-    if args.stdin:
-        texts.extend(line.rstrip("\n") for line in sys.stdin)
-    for raw in texts:
+    lines = (line.rstrip("\n") for line in sys.stdin) if args.stdin else ()
+    for raw in itertools.chain(args.texts, lines):
         label, probs = predict_text(model, raw)
         probs_str = "\t".join(repr(float(p)) for p in probs)
-        print(f"{corpus_io.external_label(label)}\t{probs_str}")
+        # a stdin line's answer goes out before the next line is read
+        print(f"{corpus_io.external_label(label)}\t{probs_str}", flush=args.stdin)
     return 0
 
 
@@ -411,7 +416,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         values = _resolve(args, _load_config(getattr(args, "config", None)))
-        return COMMANDS[args.command](args, values)
+        code = COMMANDS[args.command](args, values)
+        sys.stdout.flush()  # so that a broken pipe is met here, not at exit
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -421,6 +428,11 @@ def main(argv=None) -> int:
     except NonFiniteLoss as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return DIVERGENCE_ERROR
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the exit's flush
+        # cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (CorpusError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -88,13 +88,18 @@ class LabeledCorpus:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Stratified split fractions; the remainder after train+val is test."""
+    """Stratified split fractions; the remainder after train+val is test.
+    The seed is an integer >= 0: ``random.Random`` would split -7 as 7."""
 
     train_fraction: float = 0.8
     val_fraction: float = 0.1
     seed: int = 42
 
     def __post_init__(self):
+        if type(self.seed) is not int:
+            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidConfig(f"train_fraction must be in (0,1): {self.train_fraction}")
         if not 0.0 <= self.val_fraction < 1.0:

@@ -7,7 +7,9 @@ The classifier is a stack of these stages:
 * a 1-D "valid" convolution sliding m window filters of width h over each
   sentence matrix, emitting one feature per (filter, position), so the
   output is a (B, n-h+1, m) batch of m-channel step sequences, activated
-  by a function that ``ACTIVATIONS`` names (the one list of the choices),
+  by a function that ``ACTIVATIONS`` names (the one list of the choices);
+  only windows holding a nonzero entry go through its GEMM, since a window
+  of pad rows always gives f(bias),
 * an LSTM consuming each step sequence in order and returning its final
   hidden state, (B, d_h),
 * a parameterless mean over positions, (B, steps, m) -> (B, m), which
@@ -85,10 +87,12 @@ class EmbeddingLayer:
 
     def backward(self, ids, d_out):
         rows, at = np.unique(ids, return_inverse=True)
-        values = np.zeros((len(rows), self.table.shape[1]))
-        # one add per position in the ids' flat order, so each row sums its
-        # terms in the order a dense V x k accumulation would
-        np.add.at(values, at.reshape(-1), d_out.reshape(-1, values.shape[1]))
+        k = self.table.shape[1]
+        # bin (row, column) gets its terms in the ids' flat order, so each
+        # row sums them in the order a dense V x k accumulation would
+        bins = (at.reshape(-1, 1) * k + np.arange(k)).reshape(-1)
+        values = np.bincount(bins, weights=d_out.reshape(-1), minlength=len(rows) * k)
+        values = values.reshape(len(rows), k)
         values[rows == PAD_ID] = 0.0  # pad embedding is frozen
         return {"table": RowSparse(rows, values, self.table.shape)}, None
 
@@ -99,6 +103,15 @@ class ConvLayer:
     ``filters`` is an (m, h, k) stack; feature (i, j) of a sentence P is
     f(<W_j, P[i:i+h]> + b_j), so an n x k input yields an (n-h+1) x m
     output: the step sequence the LSTM reads, or that ``MeanPool`` averages.
+
+    Tweets are short, so most windows of a padded batch hold only pad rows.
+    The forward runs its GEMM on the live windows alone, those with a
+    nonzero entry (a NaN counts), and fills the rest with f(bias), the bits
+    a GEMM over them would give.  A live window's bits can depend on how
+    many live windows its batch has, as a GEMM's rows can depend on its row
+    count, so one row forwarded alone or in a batch may differ in the last
+    bit.  The backward reads every window and is the same for a given
+    forward.
     """
 
     PARAMS = ("filters", "bias")
@@ -120,7 +133,14 @@ class ConvLayer:
         # (B, n-h+1, h*k): row t holds the window starting at position t
         cols = np.lib.stride_tricks.sliding_window_view(sentences, (h, k), axis=(1, 2))
         cols = cols.reshape(batch, n - h + 1, h * k)
-        out = ACTIVATIONS[self.activation][0](cols @ self.filters.reshape(m, h * k).T + self.bias)
+        act = ACTIVATIONS[self.activation][0]
+        live = cols.any(axis=2)  # a window of zero rows gives f(bias)
+        # the gathered windows are freed before ``out`` is allocated
+        pre = cols[live] @ self.filters.reshape(m, h * k).T
+        pre += self.bias
+        out = np.empty((batch, n - h + 1, m))
+        out[...] = act(self.bias)
+        out[live] = act(pre, out=pre)
         return out, (cols, out)
 
     def backward(self, cache, d_out):

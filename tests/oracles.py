@@ -27,6 +27,7 @@ from sentinet.corpus_io import (
     _allocate,
     internal_label,
 )
+from sentinet.layers import ACTIVATIONS
 from sentinet.preprocess import PAD_ID, UNK_ID, Vocabulary, remove_stop_words
 from sentinet.stemming import _form
 
@@ -91,6 +92,18 @@ def naive_conv(sentence: np.ndarray, filters: np.ndarray, bias: np.ndarray, acti
     return out
 
 
+def dense_conv_forward(filters: np.ndarray, bias: np.ndarray, activation: str, sentences):
+    """``ConvLayer.forward`` as first written: one GEMM over every window,
+    padding-only windows included.  The reference for the live-window
+    forward; returns ``(out, cols)``."""
+    batch, n, k = sentences.shape
+    m, h, _ = filters.shape
+    cols = np.lib.stride_tricks.sliding_window_view(sentences, (h, k), axis=(1, 2))
+    cols = cols.reshape(batch, n - h + 1, h * k)
+    out = ACTIVATIONS[activation][0](cols @ filters.reshape(m, h * k).T + bias)
+    return out, cols
+
+
 def naive_lstm_single_step(x, h_prev, c_prev, weights, biases):
     """One explicit gate-by-gate recurrence step."""
 
@@ -105,6 +118,17 @@ def naive_lstm_single_step(x, h_prev, c_prev, weights, biases):
     c = gate_forget * c_prev + gate_in * candidate
     h = gate_out * np.tanh(c)
     return h, c
+
+
+def add_at_embedding_backward(ids, d_out) -> tuple[np.ndarray, np.ndarray]:
+    """``EmbeddingLayer.backward``'s (rows, values) as first written: zeros
+    plus one ``np.add.at`` per position in the ids' flat order, pad row
+    frozen.  The reference for the bincount form, bit for bit."""
+    rows, at = np.unique(ids, return_inverse=True)
+    values = np.zeros((len(rows), d_out.shape[-1]))
+    np.add.at(values, at.reshape(-1), d_out.reshape(-1, values.shape[1]))
+    values[rows == PAD_ID] = 0.0
+    return rows, values
 
 
 def dense_embedding_backward(table_shape, ids, d_out) -> np.ndarray:

@@ -1,6 +1,10 @@
 import argparse
 import csv
 import json
+import os
+import select
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -228,9 +232,15 @@ class TestTrain:
         assert len((out / "history.csv").read_text("utf-8").splitlines()) == 2
         assert load_model(out / "model.bin").config.variant == "cnn"
 
-    def test_negative_split_seed_is_a_seed(self, prepared, tmp_path):
+    def test_config_file_with_byte_order_mark_applies(self, prepared, tmp_path):
         _, data_dir = prepared
-        assert cli.main(train_args(data_dir, tmp_path / "run", epochs=1, split_seed=-1)) == 0
+        ini = tmp_path / "bom.ini"
+        ini.write_bytes(b"\xef\xbb\xbf[train]\nepochs = 1\nvariant = cnn\n")
+        out = tmp_path / "cfg"
+        argv = ["train", "--data", str(data_dir), "--out-dir", str(out), "--config", str(ini)]
+        assert cli.main([*argv, "--embed-dim", "4", "--filters", "2", "--hidden", "2"]) == 0
+        assert len((out / "history.csv").read_text("utf-8").splitlines()) == 2
+        assert load_model(out / "model.bin").config.variant == "cnn"
 
 
 @pytest.fixture(scope="module")
@@ -679,6 +689,44 @@ class TestPredict:
         assert capsys.readouterr().err == "interrupted\n"
 
 
+    def test_reader_closing_early_exits_141(self, model_path, tmp_path):
+        """More answers than a pipe holds, and the reader takes only the
+        first: the write that finds the pipe closed ends the run quietly."""
+        lines = tmp_path / "lines.txt"
+        lines.write_text("splendid news today\n" * 3000, encoding="utf-8")
+        with lines.open("rb") as stdin, predict_process(model_path, stdin) as proc:
+            try:
+                assert proc.stdout.readline().count(b"\t") == 3
+                proc.stdout.close()
+                _, err = proc.communicate(timeout=60)
+            finally:
+                proc.kill()
+        assert (proc.returncode, err) == (141, b"")
+
+    def test_stdin_line_answered_before_stdin_closes(self, model_path):
+        with predict_process(model_path, subprocess.PIPE) as proc:
+            try:
+                proc.stdin.write(b"splendid news today\n")
+                proc.stdin.flush()
+                ready, _, _ = select.select([proc.stdout], [], [], 30)
+                assert ready, "no answer while stdin is open"
+                assert proc.stdout.readline().count(b"\t") == 3
+                proc.stdin.close()
+                assert proc.wait(timeout=60) == 0
+            finally:
+                proc.kill()
+
+
+def predict_process(model_path, stdin) -> subprocess.Popen:
+    """``sentinet predict --stdin`` in its own interpreter, stdout and
+    stderr piped."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "sentinet.cli", "predict", "--model", str(model_path), "--stdin"]
+    return subprocess.Popen(
+        argv, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+
+
 class TestHistoryExport:
     def test_matches_train_output(self, prepared, tmp_path, capsys):
         _, data_dir = prepared
@@ -803,6 +851,22 @@ class TestUsageErrors:
             argv = train_args(data_dir, out, **{flag[2:]: value})
         assert cli.main(argv) == 2
         assert "not enough memory" in one_error_line(capsys)
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_negative_split_seed_exits_1(self, prepared, trained, tmp_path, capsys, command):
+        """A split seed of -7 would split exactly as 7 does."""
+        _, data_dir = prepared
+        out = tmp_path / "out"
+        argv = {
+            "train": train_args(data_dir, out, split_seed=-7),
+            "evaluate": ["evaluate", "--model", str(trained), "--data", str(data_dir),
+                         "--split", "test", "--split-seed", "-7", "--out-dir", str(out)],
+        }[command]
+        assert cli.main(argv) == 1
+        err = one_error_line(capsys, prefix="invalid configuration: ")
+        assert "seed must be >= 0, got -7" in err
         assert not out.exists()
 
 

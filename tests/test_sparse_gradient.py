@@ -18,7 +18,12 @@ from sentinet.layers import EmbeddingLayer, RowSparse
 from sentinet.model_training import ADAM_BLOCK, AdamState, TrainConfig, adam_step, sgd_step
 from sentinet.preprocess import PAD_ID
 
-from oracles import dense_adam_step, dense_embedding_backward, dense_sgd_step
+from oracles import (
+    add_at_embedding_backward,
+    dense_adam_step,
+    dense_embedding_backward,
+    dense_sgd_step,
+)
 
 ORACLE = settings(max_examples=40, deadline=None)
 # adam_step's block sizes, in elements: tiny ones split a small table into
@@ -62,6 +67,26 @@ def test_embedding_gradient_is_the_dense_one(data, vocab, k, seed):
     assert grad.shape == (vocab, k) and len(grad) == vocab
     npt.assert_array_equal(grad.rows, np.unique(ids))
     npt.assert_array_equal(dense.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("vocab", [3, 50, 3000])
+@pytest.mark.parametrize("batch", [1, 2, 7, 32, 64])
+@pytest.mark.parametrize("n", [5, 40])
+def test_embedding_gradient_is_the_add_at_one(vocab, batch, n):
+    """Topic-sized batches with half-padded rows, an all-pad row and -0.0
+    terms, and the all-pad batch of the same shape."""
+    gen = np.random.default_rng(vocab * 1000 + batch * 10 + n)
+    k = 8
+    ids = gen.integers(0, vocab, (batch, n))
+    ids[:, n // 2 :] = PAD_ID
+    ids[-1] = PAD_ID
+    d_out = gen.normal(size=(batch, n, k))
+    d_out[gen.random(d_out.shape) < 0.1] = -0.0
+    for case in (ids, np.full_like(ids, PAD_ID)):
+        grad = EmbeddingLayer(np.zeros((vocab, k))).backward(case, d_out)[0]["table"]
+        rows, values = add_at_embedding_backward(case, d_out)
+        npt.assert_array_equal(grad.rows, rows)
+        npt.assert_array_equal(grad.values.view(np.uint64), values.view(np.uint64))
 
 
 # beta1 above one half: below it, see test_underflowed_first_moment_keeps_its_sign
