@@ -16,11 +16,19 @@ Settings may come from an INI config file (sections such as [data],
 override the file.  A key is a flag's name without ``--``, with ``-`` or
 ``_`` between words (``lr``, ``batch_size``); a key that no command takes,
 or one set twice, is a usage error.  A flag that cannot apply to the run
-is a usage error too (``evaluate --split all`` with a split flag,
-``evaluate --data`` with a column flag); its key in a config file is not,
-since one file serves every command.  ``SETTINGS`` declares each setting
-once.  There is no interactive mode and no wall-clock seeding: identical
-inputs, flags and seeds reproduce identical outputs byte for byte.
+is a usage error too (``evaluate --data`` with a column flag); its key in
+a config file is not, since one file serves every command.  ``SETTINGS``
+declares each setting once.  There is no interactive mode and no
+wall-clock seeding: identical inputs, flags and seeds reproduce identical
+outputs byte for byte.
+
+``train`` records its split (``--train-frac``, ``--val-frac``,
+``--split-seed``) in the model file, and ``evaluate --split`` scores one
+partition of that split, so the two cannot disagree.  ``--split``
+defaults to ``test`` with ``--data``, the corpus the model was trained
+on, and to ``all`` with ``--csv``.  A partition other than ``all`` of a
+model that records no split, or ``val`` of one trained with
+``--val-frac 0``, is a usage error.
 
 Exit codes: 0 success; 1 usage error, which is a bad flag, a config file
 that is not UTF-8 INI, or a setting outside its range (every
@@ -136,9 +144,9 @@ SETTINGS = (
     Setting("eps", ("train",), "Adam epsilon", TrainConfig, "epsilon"),
     Setting("seed", ("train",), "init + shuffle seed", TrainConfig),
     Setting("no_shuffle", ("train",), "keep corpus order each epoch", default=False),
-    Setting("train_frac", ("train", "evaluate"), "train fraction", SplitSpec, "train_fraction"),
-    Setting("val_frac", ("train", "evaluate"), "validation fraction", SplitSpec, "val_fraction"),
-    Setting("split_seed", ("train", "evaluate"), "stratified split seed", SplitSpec, "seed"),
+    Setting("train_frac", ("train",), "train fraction", SplitSpec, "train_fraction"),
+    Setting("val_frac", ("train",), "validation fraction", SplitSpec, "val_fraction"),
+    Setting("split_seed", ("train",), "stratified split seed", SplitSpec, "seed"),
 )
 
 
@@ -216,8 +224,7 @@ def build_parser() -> _Parser:
     ev.add_argument(
         "--split",
         choices=("all", "train", "val", "test"),
-        default="all",
-        help="score only one partition of the deterministic split",
+        help="partition of the model's split to score (default: test with --data, all with --csv)",
     )
 
     pr = sub.add_parser("predict", help="classify raw text lines")
@@ -324,6 +331,7 @@ def cmd_train(args, values) -> int:
     val_part = encoded.subset(val_idx) if val_idx else None
 
     model = build_model(model_config, vocab, Rng(train_config.seed), pipeline)
+    model.split = split
     model, history = train(model, train_part, val_part, train_config)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -352,25 +360,20 @@ def _encoded_for_evaluate(args, values, model: Model) -> EncodedCorpus:
 
 
 def cmd_evaluate(args, values) -> int:
-    idle = {}
-    if args.data is not None:
-        idle.update(dict.fromkeys(("text_column", "label_column"), "--data"))
-    if args.split == "all":
-        idle.update(dict.fromkeys(("train_frac", "val_frac", "split_seed"), "--split all"))
-    for key, reason in idle.items():
+    for key in ("text_column", "label_column") if args.data is not None else ():
         if getattr(args, key) is not None:
-            raise _UsageError(f"--{key.replace('_', '-')} has no effect with {reason}")
-    split = None if args.split == "all" else _config_of(SplitSpec, values)
-    if args.split == "val" and split.val_fraction == 0:
-        raise _UsageError("--split val selects no rows when val_frac is 0")
+            raise _UsageError(f"--{key.replace('_', '-')} has no effect with --data")
+    part = args.split or ("all" if args.data is None else "test")
     out = _out_dir(args.out_dir)
     model = load_model(args.model)
+    if part != "all" and model.split is None:
+        raise _UsageError(f"--split {part}: the model records no split; use --split all")
+    if part == "val" and model.split.val_fraction == 0:
+        raise _UsageError("--split val selects no rows: the model was trained with val_frac 0")
     encoded = _encoded_for_evaluate(args, values, model)
-    if split is not None:
-        parts = dict(
-            zip(("train", "val", "test"), corpus_io.stratified_indices(encoded.labels, split))
-        )
-        encoded = encoded.subset(parts[args.split])
+    if part != "all":
+        parts = corpus_io.stratified_indices(encoded.labels, model.split)
+        encoded = encoded.subset(parts[("train", "val", "test").index(part)])
     result = evaluate(model, encoded)
     cm = metrics.confusion(result.predictions, encoded.labels)
     report = metrics.macro_report(cm)

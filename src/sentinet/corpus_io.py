@@ -97,9 +97,9 @@ class SplitSpec:
 
     def __post_init__(self):
         if type(self.seed) is not int:
-            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
+            raise InvalidConfig(f"split seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+            raise InvalidConfig(f"split seed must be >= 0, got {self.seed}")
         if not 0.0 < self.train_fraction < 1.0:
             raise InvalidConfig(f"train_fraction must be in (0,1): {self.train_fraction}")
         if not 0.0 <= self.val_fraction < 1.0:

@@ -33,12 +33,20 @@ configs and seeds fix every parameter, every history record, and every
 prediction bitwise.
 
 The model file is a container of :mod:`sentinet.corpus_io` (layout
-there) with magic ``SNET`` and version 2.  Its header holds ``config``,
-``vocab``, ``pipeline``, ``history`` and ``params``, each parameter's name
-and shape in stage order; the payload holds the parameters in that order
-as little-endian float64.  A header must be exactly the one ``save_model``
-writes for the model it describes.  A loaded model's parameters are
-writable views of the one buffer its file was read into, with no copy.
+there) with magic ``SNET`` and version 3.  Its header holds ``config``,
+``vocab``, ``pipeline``, ``history`` (one ``[epoch, train_loss,
+train_acc, val_loss, val_acc]`` row per epoch, an int and four floats),
+``split`` (the ``SplitSpec`` that chose the training rows, as its fields,
+or null for a model no split produced) and ``params``, each parameter's
+name and shape in stage order; the payload holds the parameters in that
+order as little-endian float64.  A header must be exactly the one
+``save_model`` writes for the model it describes.  A format-2 file, whose
+header has no ``split``, is refused with ``FormatVersionMismatch``; there
+is no second reader.  A field added later without a new version is
+written only when its value is not its default, and a reader takes one
+that is absent as its default, so every file written before it keeps its
+bytes.  A loaded model's parameters are writable views of the one buffer
+its file was read into, with no copy.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from .corpus_io import (  # the errors of load_model and the configs are importa
     CorruptFile,
     FormatVersionMismatch,
     InvalidConfig,
+    SplitSpec,
     csv_text,
     read_container,
     write_container,
@@ -80,7 +89,7 @@ from .preprocess import (
 )
 
 MAGIC = b"SNET"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # examples per forward pass in evaluate, so that its working memory stays
 # the same whatever the corpus size
 EVAL_BATCH = 64
@@ -212,11 +221,20 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """One epoch's measures; TypeError unless the epoch is an int and the
+    four measures are floats (NaN when there is no validation set)."""
+
     epoch: int
     train_loss: float
     train_accuracy: float
     val_loss: float
     val_accuracy: float
+
+    def __post_init__(self):
+        if type(self.epoch) is not int or not all(
+            isinstance(v, float) for v in astuple(self)[1:]
+        ):
+            raise TypeError(f"an epoch record is an int epoch and four floats: {self}")
 
 
 @dataclass
@@ -234,8 +252,10 @@ class EpochHistory:
 class Model:
     """A variant's stages plus the vocabulary and pipeline it was built with.
 
-    ``stages`` maps each stage name to its layer, in ``STAGES`` order.  A
-    model keeps no per-call state, so callers may share one.
+    ``stages`` maps each stage name to its layer, in ``STAGES`` order.
+    ``history`` is set by ``train`` and ``split`` by whoever chose the
+    training rows.  A model keeps no per-call state, so callers may share
+    one.
     """
 
     def __init__(
@@ -250,6 +270,7 @@ class Model:
         self.stages = stages
         self.pipeline = pipeline
         self.history = EpochHistory()
+        self.split: SplitSpec | None = None
 
     def parameters(self) -> dict[str, np.ndarray]:
         """Live parameter arrays keyed by stable names (serialization order)."""
@@ -496,6 +517,7 @@ def _header(model: Model) -> dict:
         "vocab": model.vocab.to_json(),
         "pipeline": None if model.pipeline is None else model.pipeline.to_json(),
         "history": [list(astuple(r)) for r in model.history.records],
+        "split": None if model.split is None else asdict(model.split),
         "params": [
             {"name": name, "shape": list(arr.shape)}
             for name, arr in model.parameters().items()
@@ -516,6 +538,8 @@ def load_model(path) -> Model:
         pipeline = header["pipeline"]
         pipeline = None if pipeline is None else PipelineConfig.from_json(pipeline)
         history = EpochHistory([EpochRecord(*row) for row in header["history"]])
+        split = header["split"]
+        split = None if split is None else SplitSpec(**split)
     except MALFORMED as exc:
         raise CorruptFile(f"malformed header: {path}") from exc
     offset = 0
@@ -532,7 +556,7 @@ def load_model(path) -> Model:
     model = Model(config, vocab, _make_stages(config, len(vocab), read), pipeline)
     if offset != len(payload):
         raise CorruptFile(f"trailing bytes after parameters: {path}")
-    model.history = history
+    model.history, model.split = history, split
     if _header(model) != header:
         raise CorruptFile(f"header does not match the model it describes: {path}")
     return model

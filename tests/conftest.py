@@ -50,6 +50,28 @@ def _openblas_core() -> str:
     return corename().decode()
 
 
+# the command whose failures print every pin that depends on the OpenBLAS
+# kernel, for the kernel it forces
+RECORD_KERNEL_PINS = (
+    "OPENBLAS_CORETYPE=<core> python -m pytest tests/test_model_training.py "
+    "tests/test_export_digests.py -k pinned"
+)
+
+
+def kernel_pins(table: dict, found) -> dict:
+    """``table``'s entry for the OpenBLAS kernel in use.  A kernel the table
+    does not name fails the test, never skips it: the message gives this
+    run's ``found`` values and the command that prints all of that kernel's."""
+    core = _openblas_core()
+    if core not in table:
+        pytest.fail(
+            f"no pins for OpenBLAS core {core}: this run gives {found!r}; record every "
+            f"pin of that core from `{RECORD_KERNEL_PINS}`",
+            pytrace=False,
+        )
+    return table[core]
+
+
 def make_toy_texts(per_class: int = 10):
     """Deterministic labeled texts, ``per_class`` examples per class."""
     texts, labels = [], []

@@ -1,5 +1,7 @@
 import argparse
 import csv
+import dataclasses
+import hashlib
 import json
 import os
 import select
@@ -13,7 +15,7 @@ import pytest
 
 from sentinet import cli
 from sentinet.corpus_io import CorruptFile, SplitSpec, stratified_indices
-from sentinet.model_training import NonFiniteLoss, load_model, save_model
+from sentinet.model_training import NonFiniteLoss, evaluate, load_model, save_model
 from sentinet.preprocess import EncodedCorpus, read_corpus_cache, write_corpus_cache
 
 from conftest import make_toy_texts
@@ -284,7 +286,7 @@ class TestEvaluate:
         _, data_dir = prepared
         reports = tmp_path / "reports"
         code = cli.main(
-            ["evaluate", "--model", str(trained), "--data", str(data_dir),
+            ["evaluate", "--model", str(trained), "--data", str(data_dir), "--split", "all",
              "--out-dir", str(reports)]
         )
         assert code == 0
@@ -299,11 +301,11 @@ class TestEvaluate:
         via_cache = tmp_path / "via_cache"
         via_csv = tmp_path / "via_csv"
         assert cli.main(
-            ["evaluate", "--model", str(trained), "--data", str(data_dir),
+            ["evaluate", "--model", str(trained), "--data", str(data_dir), "--split", "test",
              "--out-dir", str(via_cache)]
         ) == 0
         assert cli.main(
-            ["evaluate", "--model", str(trained), "--csv", str(csv_path),
+            ["evaluate", "--model", str(trained), "--csv", str(csv_path), "--split", "test",
              "--out-dir", str(via_csv)]
         ) == 0
         assert (via_cache / "report.csv").read_bytes() == (via_csv / "report.csv").read_bytes()
@@ -403,16 +405,23 @@ class TestEvaluate:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("flags", [
-        ["--train-frac", "0.3"],
-        ["--split", "all", "--val-frac", "0.1"],
-        ["--split-seed", "5"],
-        ["--split", "test", "--text-column", "tweet"],
-        ["--label-column", "sent"],
-    ], ids=lambda flags: flags[-2])
-    def test_flag_that_cannot_apply_exits_1(self, prepared, trained, tmp_path, capsys, flags):
-        """Split flags with --split all (the default) and column flags with
-        --data would be ignored, so they are usage errors."""
+    # each flag that cannot apply to evaluate --data, and what is said of it
+    CANNOT_APPLY = {
+        "--train-frac": (["--train-frac", "0.3"], "unrecognized arguments: --train-frac"),
+        "--val-frac": (["--split", "all", "--val-frac", "0.1"],
+                       "unrecognized arguments: --val-frac"),
+        "--split-seed": (["--split-seed", "5"], "unrecognized arguments: --split-seed"),
+        "--text-column": (["--split", "test", "--text-column", "tweet"],
+                          "--text-column has no effect with --data"),
+        "--label-column": (["--label-column", "sent"], "--label-column has no effect with --data"),
+    }
+
+    @pytest.mark.parametrize("case", CANNOT_APPLY)
+    def test_flag_that_cannot_apply_exits_1(self, prepared, trained, tmp_path, capsys, case):
+        """Column flags with --data would be ignored, so they are usage
+        errors; the split flags belong to train, whose split the model
+        records, so evaluate does not take them."""
+        flags, message = self.CANNOT_APPLY[case]
         _, data_dir = prepared
         out = tmp_path / "r"
         code = cli.main(
@@ -420,27 +429,28 @@ class TestEvaluate:
              "--out-dir", str(out), *flags]
         )
         assert code == 1
-        assert "has no effect with" in one_error_line(capsys, prefix="usage error: ")
+        assert message in one_error_line(capsys, prefix="usage error: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_val_split_without_val_rows_exits_1(self, prepared, trained, tmp_path, capsys,
-                                                monkeypatch, source):
-        """--split val with val_frac 0 selects no rows: a usage error
-        before the model is loaded, whichever way the 0 was given."""
+    def test_val_split_without_val_rows_exits_1(self, prepared, tmp_path, capsys, source):
+        """--split val of a model trained with val_frac 0 selects no rows:
+        a usage error, whichever way train was given the 0."""
         _, data_dir = prepared
         ini = tmp_path / "split.ini"
         ini.write_text("[split]\nval_frac = 0\n", encoding="utf-8")
+        run = tmp_path / "run"
         given = ["--val-frac", "0"] if source == "flag" else ["--config", str(ini)]
-        monkeypatch.setattr(cli, "load_model", pytest.fail)
+        assert cli.main([*train_args(data_dir, run, epochs=1), *given]) == 0
+        capsys.readouterr()
         out = tmp_path / "r"
         code = cli.main(
-            ["evaluate", "--model", str(trained), "--data", str(data_dir), "--split", "val",
-             "--out-dir", str(out), *given]
+            ["evaluate", "--model", str(run / "model.bin"), "--data", str(data_dir),
+             "--split", "val", "--out-dir", str(out)]
         )
         assert code == 1
         message = one_error_line(capsys, prefix="usage error: ")
-        assert "--split val" in message and "val_frac" in message
+        assert "--split val" in message and "val_frac 0" in message
         assert not out.exists()
 
     def test_config_keys_that_cannot_apply_are_accepted(self, prepared, trained, tmp_path):
@@ -455,16 +465,101 @@ class TestEvaluate:
         assert cli.main([*base, "--out-dir", str(without)]) == 0
         assert (with_ini / "report.csv").read_bytes() == (without / "report.csv").read_bytes()
 
-    def test_split_flags_apply_to_one_partition(self, prepared, trained, tmp_path):
+    def test_split_flags_apply_to_one_partition(self, prepared, tmp_path, capsys):
+        """train's split flags decide the rows of each partition evaluate
+        scores."""
+        _, data_dir = prepared
+        run = tmp_path / "run"
+        flags = dict(train_frac="0.5", val_frac="0.2", split_seed="3", epochs=1)
+        assert cli.main(train_args(data_dir, run, **flags)) == 0
+        labels = read_corpus_cache(data_dir / "encoded.bin").labels
+        sizes = map(len, stratified_indices(labels, SplitSpec(0.5, 0.2, seed=3)))
+        for part, size in zip(("train", "val", "test"), sizes):
+            argv = ["evaluate", "--model", str(run / "model.bin"), "--data", str(data_dir),
+                    "--split", part, "--out-dir", str(tmp_path / part)]
+            capsys.readouterr()
+            assert cli.main(argv) == 0
+            assert f"examples: {size}\n" in capsys.readouterr().out
+
+
+class TestHeldOutByDefault:
+    """evaluate --data scores the test partition of the split the model
+    records, and no flag can name another split."""
+
+    # 9 test rows, about half of which the model gets right after 12 epochs,
+    # so the test rows of another split get another report
+    SPLIT = SplitSpec(0.5, 0.2, seed=7)
+
+    @pytest.fixture(scope="class")
+    def seed_7_model(self, prepared, tmp_path_factory):
+        _, data_dir = prepared
+        run = tmp_path_factory.mktemp("seed_7")
+        flags = dict(train_frac="0.5", val_frac="0.2", split_seed="7", epochs=12)
+        assert cli.main(train_args(data_dir, run, **flags)) == 0
+        return run / "model.bin"
+
+    # sha256 of the report.csv that `evaluate --split test --train-frac 0.5
+    # --val-frac 0.2 --split-seed 7` wrote for this model before the model
+    # file recorded its split; the same on all four OpenBLAS kernels
+    SPLIT_SEED_7_REPORT = "21485ba9951e0614e5edab361f32c05050dab49589c9953932588b9c13f8b406"
+
+    def test_default_scores_the_recorded_test_partition(self, prepared, seed_7_model,
+                                                         tmp_path):
+        from sentinet.metrics import confusion, macro_report, report_to_csv
+
         _, data_dir = prepared
         out = tmp_path / "r"
-        code = cli.main(
-            ["evaluate", "--model", str(trained), "--data", str(data_dir), "--split", "test",
-             "--train-frac", "0.5", "--val-frac", "0.2", "--split-seed", "3",
-             "--out-dir", str(out)]
+        argv = ["evaluate", "--model", str(seed_7_model), "--data", str(data_dir),
+                "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        corpus, model = read_corpus_cache(data_dir / "encoded.bin"), load_model(seed_7_model)
+
+        def test_report(split):
+            part = corpus.subset(stratified_indices(corpus.labels, split)[2])
+            result = evaluate(model, part)
+            return report_to_csv(macro_report(confusion(result.predictions, part.labels)))
+
+        report = (out / "report.csv").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == self.SPLIT_SEED_7_REPORT
+        assert report.decode("utf-8") == test_report(self.SPLIT)
+        assert report.decode("utf-8") != test_report(dataclasses.replace(self.SPLIT, seed=42))
+
+    def test_default_never_scores_a_training_row(self, prepared, seed_7_model, tmp_path,
+                                                 monkeypatch):
+        _, data_dir = prepared
+        scored = []
+        monkeypatch.setattr(
+            cli, "evaluate", lambda model, corpus: scored.append(corpus) or evaluate(model, corpus)
         )
-        assert code == 0
-        assert (out / "report.csv").exists()
+        argv = ["evaluate", "--model", str(seed_7_model), "--data", str(data_dir),
+                "--out-dir", str(tmp_path / "r")]
+        assert cli.main(argv) == 0
+        corpus = read_corpus_cache(data_dir / "encoded.bin")
+        train_idx, _, test_idx = stratified_indices(corpus.labels, self.SPLIT)
+        rows = {row.tobytes() for row in scored[0].sequences}
+        assert rows == {corpus.sequences[i].tobytes() for i in test_idx}
+        assert rows.isdisjoint(corpus.sequences[i].tobytes() for i in train_idx)
+
+    @pytest.mark.parametrize("chosen", [[], ["--split", "test"]], ids=["default", "test"])
+    def test_model_without_a_split_exits_1(self, prepared, trained, tmp_path, capsys, chosen):
+        _, data_dir = prepared
+        model = load_model(trained)
+        model.split = None
+        bare = tmp_path / "bare.bin"
+        save_model(model, bare)
+        argv = ["evaluate", "--model", str(bare), "--data", str(data_dir)]
+        out = tmp_path / "r"
+        assert cli.main([*argv, *chosen, "--out-dir", str(out)]) == 1
+        assert "records no split" in one_error_line(capsys, prefix="usage error: ")
+        assert not out.exists()
+        assert cli.main([*argv, "--split", "all", "--out-dir", str(out)]) == 0
+
+    def test_train_records_its_split(self, prepared, tmp_path):
+        _, data_dir = prepared
+        run = tmp_path / "run"
+        flags = dict(train_frac="0.6", val_frac="0.25", split_seed="11", epochs=0)
+        assert cli.main(train_args(data_dir, run, **flags)) == 0
+        assert load_model(run / "model.bin").split == SplitSpec(0.6, 0.25, seed=11)
 
 
 class TestDamagedCache:
@@ -728,6 +823,16 @@ def predict_process(model_path, stdin) -> subprocess.Popen:
 
 
 class TestHistoryExport:
+    def test_history_of_other_types_exits_2(self, model_path, tmp_path, capsys):
+        """Such a row would be written out as "x,y,True,,z"."""
+        bad = tmp_path / "model.bin"
+        bad.write_bytes(model_path.read_bytes())
+        rewrite_header(bad, lambda header: header.update(history=[["x", "y", True, None, "z"]]))
+        out = tmp_path / "history.csv"
+        assert cli.main(["history-export", "--model", str(bad), "--out", str(out)]) == 2
+        assert "malformed header" in one_error_line(capsys)
+        assert not out.exists()
+
     def test_matches_train_output(self, prepared, tmp_path, capsys):
         _, data_dir = prepared
         out = tmp_path / "run"
@@ -854,20 +959,23 @@ class TestUsageErrors:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("command", ["train", "evaluate"])
-    def test_negative_split_seed_exits_1(self, prepared, trained, tmp_path, capsys, command):
+    def test_negative_split_seed_exits_1(self, prepared, tmp_path, capsys):
         """A split seed of -7 would split exactly as 7 does."""
         _, data_dir = prepared
         out = tmp_path / "out"
-        argv = {
-            "train": train_args(data_dir, out, split_seed=-7),
-            "evaluate": ["evaluate", "--model", str(trained), "--data", str(data_dir),
-                         "--split", "test", "--split-seed", "-7", "--out-dir", str(out)],
-        }[command]
-        assert cli.main(argv) == 1
+        assert cli.main(train_args(data_dir, out, split_seed=-7)) == 1
         err = one_error_line(capsys, prefix="invalid configuration: ")
         assert "seed must be >= 0, got -7" in err
         assert not out.exists()
+
+    def test_negative_seeds_name_their_setting(self, prepared, tmp_path, capsys):
+        _, data_dir = prepared
+        errors = []
+        for flag in ("seed", "split_seed"):
+            assert cli.main(train_args(data_dir, tmp_path / "out", **{flag: -7})) == 1
+            errors.append(one_error_line(capsys, prefix="invalid configuration: "))
+        assert errors == ["invalid configuration: seed must be >= 0, got -7\n",
+                          "invalid configuration: split seed must be >= 0, got -7\n"]
 
 
 class TestOutDir:
@@ -907,8 +1015,7 @@ OPTION_STRINGS = {
               "--no-shuffle", "--optimizer", "--out-dir", "--seed", "--split-seed",
               "--train-frac", "--val-frac", "--variant", "--window", "-h"},
     "evaluate": {"--config", "--csv", "--data", "--help", "--label-column", "--model",
-                 "--out-dir", "--split", "--split-seed", "--text-column", "--train-frac",
-                 "--val-frac", "-h"},
+                 "--out-dir", "--split", "--text-column", "-h"},
     "predict": {"--help", "--model", "--stdin", "-h"},
     "history-export": {"--help", "--model", "--out", "-h"},
 }

@@ -227,9 +227,9 @@ class TestStratifiedSplit:
             SplitSpec(train_fraction=0.5, val_fraction=-0.1)
 
     @pytest.mark.parametrize("seed, message", [
-        (-7, "seed must be >= 0, got -7"),
-        (True, "seed must be an integer, got True"),
-        (1.5, "seed must be an integer, got 1.5"),
+        (-7, "split seed must be >= 0, got -7"),
+        (True, "split seed must be an integer, got True"),
+        (1.5, "split seed must be an integer, got 1.5"),
     ], ids=["negative", "bool", "float"])
     def test_seed_is_an_integer_at_least_zero(self, seed, message):
         """random.Random would split -7 as 7, True as 1, and take 1.5."""

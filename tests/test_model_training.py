@@ -12,7 +12,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sentinet.corpus_io import NEGATIVE, NEUTRAL, POSITIVE
+from sentinet.corpus_io import NEGATIVE, NEUTRAL, POSITIVE, SplitSpec
 from sentinet.layers import LstmLayer, cross_entropy
 from sentinet.metrics import confusion, macro_report
 from sentinet.model_training import (
@@ -40,7 +40,7 @@ from sentinet.model_training import (
 from sentinet.preprocess import EncodedCorpus, build_vocabulary
 from sentinet.tensor_core import Rng
 
-from conftest import encode_toy_corpus, fifo_feeding, make_toy_texts
+from conftest import encode_toy_corpus, fifo_feeding, kernel_pins, make_toy_texts
 from oracles import copying_load_parameters
 
 SMALL = dict(seq_len=7, embed_dim=4, window=3, filters=2, hidden=5)
@@ -396,15 +396,38 @@ class TestTrain:
 
     # sha256 of the file save_model writes after this training with a dense
     # V x k embedding gradient and the whole-tensor optimizers of oracles.py:
-    # the row-sparse gradient and in-place steps must give the same bytes
+    # the row-sparse gradient and in-place steps must give the same bytes.
+    # Per OpenBLAS kernel, as each sums a matrix product in its own order
+    # (OPENBLAS_CORETYPE=Prescott runs the kernel named Katmai); cnn-sgd has
+    # the same bytes under SkylakeX and Haswell
     TRAINED_FILE_DIGESTS = {
-        ("cnn-lstm", "adam"): "a450897d424af3b059f5a0a4d413e4053cdff4e47d73b79a134eb31d3dd6bcec",
-        ("cnn-lstm", "sgd"): "616d42546e25d3d415c4a449775feca4cd9c93a3006af857ae4a9005cf2230eb",
-        ("cnn", "adam"): "80a279cad7f4d2f81a53b5167263ec448bb6d7779fe941a5e8815597e00fc6fc",
-        ("cnn", "sgd"): "2a86b9ae78eb4ae832756dadc93c094c4753527f8535b9dbb0610a06c8eab66d",
+        "SkylakeX": {
+            ("cnn-lstm", "adam"): "2484cd98eed1b011354ebf50cb9b2857b6588b857ef7bc56682447703e01d06f",
+            ("cnn-lstm", "sgd"): "0b2a191bde34e1a2e3f4f38d80e15e238cf6e765d402c8622399148e3da7f6a0",
+            ("cnn", "adam"): "0898b34da185c1155f2df784257f3f56ae8903f2ddf5d1c3775bc637d0db969d",
+            ("cnn", "sgd"): "1308d3c0d1229ac4bda5e69a8bebe04d98f74e0745567079053517f8997b903e",
+        },
+        "Haswell": {
+            ("cnn-lstm", "adam"): "37d112e5a2c146a99cc49f0ae76a4a114c6d87d76862689e5f4f624aaec43d8f",
+            ("cnn-lstm", "sgd"): "3bc38e2b972f243e7ea106dfba1f1900868be16898076244bde855f75924d5d5",
+            ("cnn", "adam"): "7f340557e13cda9781fbec5f0f1d6ab28e51c7fb9d62db0dce52a91e92e98a2a",
+            ("cnn", "sgd"): "1308d3c0d1229ac4bda5e69a8bebe04d98f74e0745567079053517f8997b903e",
+        },
+        "Sandybridge": {
+            ("cnn-lstm", "adam"): "2fd9c04e76c605db26e0d88c1c49a2502446ef1014fb2d5ca3d9983d1b2cf0e7",
+            ("cnn-lstm", "sgd"): "b6ea7d19c15eb81164d088d394ab8f7c4e8d7a20be1d40ec35c0b7bb6689fd70",
+            ("cnn", "adam"): "e4bc18abccb0d69e89196e35eb515d1d6846dfe373758fcb7da19953247c77db",
+            ("cnn", "sgd"): "fd37f5c58dc5c2e0a3592d2b052a7fb6ce28162d0886aa55dd218e77742ee4b0",
+        },
+        "Katmai": {
+            ("cnn-lstm", "adam"): "f58af8caf4b3844ee4f02244663cbecc0a604d86537a7da1a62451c09a1c09dd",
+            ("cnn-lstm", "sgd"): "507abf2d509cbc533c692ac8ae953b42d644ca39b2f3e7e41243a7654e3acce3",
+            ("cnn", "adam"): "a77ea126b2f8b62e4d66c80e0d68e981c1685478fed8262d1fc953cbcd23a330",
+            ("cnn", "sgd"): "64ec71f06040c57a616cc8f3523d4f68ac822a00c2a49cc7ddc22e92dcd001d5",
+        },
     }
 
-    @pytest.mark.parametrize("variant, optimizer", TRAINED_FILE_DIGESTS)
+    @pytest.mark.parametrize("variant, optimizer", TRAINED_FILE_DIGESTS["SkylakeX"])
     def test_trained_file_bytes_are_pinned(self, tmp_path, toy_corpus, variant, optimizer):
         corpus, vocab, pipeline = toy_corpus
         config = ModelConfig(variant=variant, seq_len=corpus.n, embed_dim=4,
@@ -417,7 +440,8 @@ class TestTrain:
         path = tmp_path / "model.bin"
         save_model(model, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == self.TRAINED_FILE_DIGESTS[variant, optimizer]
+        run = variant, optimizer
+        assert digest == kernel_pins(self.TRAINED_FILE_DIGESTS, {run: digest})[run]
 
 
 class TestEvaluate:
@@ -488,6 +512,18 @@ class TestSerialization:
         assert loaded.pipeline.stop_words.words == pipeline.stop_words.words
         assert loaded.config == model.config
         assert loaded.vocab.tokens() == vocab.tokens()
+
+    @pytest.mark.parametrize("split", [None, SplitSpec(0.7, 0.0, seed=3)], ids=["none", "spec"])
+    def test_round_trip_preserves_split(self, tmp_path, toy_corpus, split):
+        corpus, vocab, pipeline = toy_corpus
+        config = ModelConfig(variant="cnn", seq_len=corpus.n, embed_dim=3,
+                             window=2, filters=2, hidden=2)
+        model = build_model(config, vocab, Rng(6), pipeline)
+        assert model.split is None
+        model.split = split
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        assert load_model(path).split == split
 
     def test_round_trip_without_validation(self, tmp_path, toy_corpus):
         corpus, vocab, pipeline = toy_corpus
@@ -563,6 +599,15 @@ class TestSerialization:
         "short-history-row": lambda h: h["history"].append([1]),
         "partial-pipeline": lambda h: h.update(pipeline={"dedupe": False}),
         "empty-pipeline": lambda h: h.update(pipeline={}),
+        "history-of-other-types": lambda h: h.update(history=[["x", "y", True, None, "z"]]),
+        "float-epoch": lambda h: h.update(history=[[1.0, 0.5, 0.5, 0.5, 0.5]]),
+        "int-measure": lambda h: h.update(history=[[1, 0.5, 1, 0.5, 0.5]]),
+        "missing-split": lambda h: h.pop("split"),
+        "negative-split-seed": lambda h: h["split"].update(seed=-1),
+        "train-fraction-one": lambda h: h["split"].update(train_fraction=1.0),
+        "fractions-leaving-no-test": lambda h: h["split"].update(val_fraction=0.2),
+        "extra-split-key": lambda h: h["split"].update(extra=None),
+        "split-as-list": lambda h: h.update(split=[0.8, 0.1, 42]),
     }
 
     @pytest.mark.parametrize(
@@ -572,16 +617,25 @@ class TestSerialization:
         corpus, vocab, pipeline = toy_corpus
         config = ModelConfig(variant="cnn-lstm", seq_len=corpus.n, embed_dim=3,
                              window=2, filters=2, hidden=2)
+        model = build_model(config, vocab, Rng(5), pipeline)
+        model.split = SplitSpec()
         path = tmp_path / "model.bin"
-        save_model(build_model(config, vocab, Rng(5), pipeline), path)
+        save_model(model, path)
         load_model(path)
         rewrite_header(path, mutate)
         with pytest.raises(CorruptFile):
             load_model(path)
 
-    # sha256 of the file save_model wrote for this model before the container
-    # framing moved to corpus_io: format 2 must stay the same byte for byte
-    FORMAT_2_FILE_DIGEST = "41edc9f5cfb2b64f2f6be394ab178b850cbc44d34cb3a2d97715c9babfc79207"
+    def test_history_row_types_are_checked_when_made(self):
+        """So save_model cannot write a history that load_model refuses."""
+        for row in ((1, 1, 0.5, 0.5, 0.5), (True, 0.5, 0.5, 0.5, 0.5), (1, 0.5, 0.5, None, 0.5)):
+            with pytest.raises(TypeError):
+                EpochRecord(*row)
+        EpochRecord(1, np.float64(0.5), 0.5, math.nan, math.nan)  # a numpy float is a float
+
+    # sha256 of the format-3 file save_model writes for this model (untrained,
+    # so the same on every OpenBLAS kernel): it moves only with the format
+    FORMAT_3_FILE_DIGEST = "e9bd0d5c2438510f9c85d013120f5840c43f1fb27e11e168041847048f1b073d"
 
     def test_file_bytes_are_pinned(self, tmp_path, toy_corpus):
         corpus, vocab, pipeline = toy_corpus
@@ -594,7 +648,7 @@ class TestSerialization:
         ])
         path = tmp_path / "model.bin"
         save_model(model, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.FORMAT_2_FILE_DIGEST
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.FORMAT_3_FILE_DIGEST
 
     def test_not_a_model_file(self, tmp_path):
         path = tmp_path / "nope.bin"
