@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`sentinet.corpus_io`       CSV corpora, splits, the checksummed file container
-* :mod:`sentinet.preprocess`      cleaning pipeline, vocabulary, encoding
+* :mod:`sentinet.preprocess`      cleaning pipeline, vocabulary, encoding, prepared corpus
 * :mod:`sentinet.stemming`        Porter suffix-stripping stemmer
 * :mod:`sentinet.tensor_core`     logistic function and seeded RNG streams
 * :mod:`sentinet.layers`          stateless batched forward/backward layers

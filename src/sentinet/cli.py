@@ -8,8 +8,7 @@ Subcommands wire the library into the usual offline workflow:
     predict         model + raw text lines -> label + class probabilities
     history-export  model file -> per-epoch history CSV
 
-The prepared corpus directory ``ingest`` writes holds ``encoded.bin`` (the
-corpus cache), ``vocab.json``, ``meta.json`` and ``histogram.csv``.
+:mod:`sentinet.preprocess` writes and reads the prepared corpus directory.
 
 Settings may come from an INI config file (sections such as [data],
 [model], [train], [split] or [DEFAULT] only group keys); command-line flags
@@ -49,14 +48,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import itertools
-import json
 import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
 
 from . import corpus_io, metrics
-from .corpus_io import MALFORMED, CorpusError, InvalidConfig, SplitSpec
+from .corpus_io import CorpusError, InvalidConfig, SplitSpec
 from .layers import ACTIVATIONS
 from .model_training import (
     VARIANTS,
@@ -74,18 +72,15 @@ from .model_training import (
 from .preprocess import (
     EncodedCorpus,
     PipelineConfig,
-    Vocabulary,
-    build_vocabulary,
     default_stop_words,
-    encode_corpus,
+    encode_csv,
     load_stop_words,
-    read_corpus_cache,
-    write_corpus_cache,
+    prepare,
+    read_prepared,
 )
 from .tensor_core import Rng
 
 USAGE_ERROR, DATA_ERROR, DIVERGENCE_ERROR, INTERRUPTED, BROKEN_PIPE = 1, 2, 3, 130, 141
-CACHE_FILE = "encoded.bin"
 
 
 class _UsageError(Exception):
@@ -260,69 +255,20 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _encode_csv(path, values, pipeline: PipelineConfig, seq_len: int, vocab=None):
-    """(EncodedCorpus, vocabulary) of a labeled CSV read with the resolved
-    column settings, deduplicated if ``pipeline`` says so and tokenized by
-    it; the vocabulary is built from the corpus when ``vocab`` is None."""
-    corpus = corpus_io.load_corpus(path, values["text_column"], values["label_column"])
-    if pipeline.dedupe:
-        corpus = corpus_io.deduplicate(corpus)
-    token_lists = [pipeline.tokens(ex.text) for ex in corpus.examples]
-    if vocab is None:
-        vocab = build_vocabulary(token_lists, values["min_freq"])
-    return encode_corpus(token_lists, corpus.labels(), vocab, seq_len), vocab
-
-
 def cmd_ingest(args, values) -> int:
     out = _out_dir(args.out_dir)
-    stop_path = values["stopwords"]
-    stops = load_stop_words(stop_path) if stop_path else default_stop_words()
+    stops = load_stop_words(values["stopwords"]) if values["stopwords"] else default_stop_words()
     pipeline = PipelineConfig(stops, values["drop_hashtag_words"], values["dedupe"])
-    encoded, vocab = _encode_csv(args.csv, values, pipeline, values["seq_len"])
-
-    out.mkdir(parents=True, exist_ok=True)
-    write_corpus_cache(encoded, out / CACHE_FILE)
-    (out / "vocab.json").write_text(
-        json.dumps(vocab.to_json(), sort_keys=True), encoding="utf-8"
-    )
-    meta = {
-        "seq_len": values["seq_len"],
-        **pipeline.to_json(),
-        "text_column": values["text_column"],
-        "label_column": values["label_column"],
-        "source_csv": str(args.csv),
-    }
-    (out / "meta.json").write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
-    histogram = corpus_io.class_histogram(encoded.labels)
-    (out / "histogram.csv").write_text(
-        corpus_io.histogram_to_csv(histogram), encoding="utf-8"
-    )
+    encoded, vocab = prepare(args.csv, out, pipeline, values["seq_len"], values["min_freq"],
+                             values["text_column"], values["label_column"])
     print(f"ingested {len(encoded)} examples, vocabulary size {len(vocab)}")
-    print(f"class counts (-1, 0, 1): {histogram}")
+    print(f"class counts (-1, 0, 1): {corpus_io.class_histogram(encoded.labels)}")
     return 0
-
-
-def _read_prepared(data_dir) -> tuple[EncodedCorpus, Vocabulary, PipelineConfig]:
-    """The cache, vocabulary and pipeline of a directory ``ingest`` wrote;
-    CorpusError unless the JSON files hold what ``ingest`` writes and every
-    id indexes the vocabulary."""
-    data_dir = Path(data_dir)
-    encoded = read_corpus_cache(data_dir / CACHE_FILE)
-    try:
-        vocab = Vocabulary.from_json(json.loads((data_dir / "vocab.json").read_text("utf-8")))
-        pipeline = PipelineConfig.from_json(json.loads((data_dir / "meta.json").read_text("utf-8")))
-    except MALFORMED as exc:
-        raise CorpusError(f"malformed vocab.json or meta.json in {data_dir}: {exc!r}") from None
-    if encoded.sequences.size and encoded.sequences.max() >= len(vocab):
-        raise CorpusError(
-            f"cache id {encoded.sequences.max()} outside a vocabulary of {len(vocab)}: {data_dir}"
-        )
-    return encoded, vocab, pipeline
 
 
 def cmd_train(args, values) -> int:
     out = _out_dir(args.out_dir)
-    encoded, vocab, pipeline = _read_prepared(args.data)
+    encoded, vocab, pipeline = read_prepared(args.data)
     model_config = _config_of(ModelConfig, values, seq_len=encoded.n)
     train_config = _config_of(TrainConfig, values, shuffle=not values["no_shuffle"])
     split = _config_of(SplitSpec, values)
@@ -344,19 +290,16 @@ def cmd_train(args, values) -> int:
 
 def _encoded_for_evaluate(args, values, model: Model) -> EncodedCorpus:
     if args.data is not None:
-        encoded, vocab, _ = _read_prepared(args.data)
+        encoded, vocab, _ = read_prepared(args.data)
         if vocab.tokens() != model.vocab.tokens():
-            raise CorpusError(
-                "prepared corpus was encoded with a different vocabulary"
-            )
+            raise CorpusError("prepared corpus was encoded with a different vocabulary")
         if encoded.n != model.config.seq_len:
-            raise CorpusError(
-                f"cache sequence length {encoded.n} != model {model.config.seq_len}"
-            )
+            raise CorpusError(f"cache sequence length {encoded.n} != model {model.config.seq_len}")
         return encoded
     if model.pipeline is None:
         raise CorpusError("model lacks pipeline settings; evaluate with --data")
-    return _encode_csv(args.csv, values, model.pipeline, model.config.seq_len, model.vocab)[0]
+    return encode_csv(args.csv, model.pipeline, model.config.seq_len, model.vocab,
+                      text_column=values["text_column"], label_column=values["label_column"])[0]
 
 
 def cmd_evaluate(args, values) -> int:

@@ -25,19 +25,27 @@ The corpus cache is a container of :mod:`sentinet.corpus_io` (layout
 there) with magic ``SNEC`` and version 1.  Its header holds ``rows`` and
 ``seq_len``; the payload holds the (rows, seq_len) id matrix row by row,
 then the rows' labels 0/1/2, all as little-endian int64.
+
+A prepared corpus is the directory :func:`prepare` writes: ``encoded.bin``
+(the cache), ``vocab.json``, ``meta.json`` (sequence length, pipeline,
+columns, source CSV) and ``histogram.csv``.  :func:`read_prepared` reads
+the first three back and checks every cached id against the vocabulary.
 """
 
 from __future__ import annotations
 
+import json
 import re
 import string
 from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from itertools import chain, count, repeat
+from pathlib import Path
 
 import numpy as np
 
+from . import corpus_io
 from .corpus_io import CorruptFile, InvalidConfig, read_container, write_container
 from .stemming import stem
 
@@ -144,6 +152,11 @@ class PipelineConfig:
     drop_hashtag_words: bool = False
     dedupe: bool = False  # exact-duplicate texts dropped at corpus level
 
+    def __post_init__(self):
+        if {type(self.drop_hashtag_words), type(self.dedupe)} - {bool}:
+            flags = (self.drop_hashtag_words, self.dedupe)
+            raise InvalidConfig(f"drop_hashtag_words and dedupe must be bools, got {flags!r}")
+
     def tokens(self, raw: str) -> list[str]:
         return preprocess_pipeline(raw, self.stop_words, self.drop_hashtag_words)
 
@@ -163,8 +176,6 @@ class PipelineConfig:
         stop_words, flags = blob["stop_words"], (blob["drop_hashtag_words"], blob["dedupe"])
         if type(stop_words) is not list or set(map(type, stop_words)) - {str}:
             raise ValueError("stop_words must be a list of strings")
-        if {type(f) for f in flags} - {bool}:
-            raise ValueError(f"drop_hashtag_words and dedupe must be bools, got {flags!r}")
         return cls(StopWordList(frozenset(stop_words)), *flags)
 
 
@@ -174,13 +185,15 @@ class Vocabulary:
     Corpus tokens get ids from 2 upward in order of descending corpus
     frequency, ties broken lexicographically, so construction is fully
     deterministic.  ValueError if the tokens repeat, include a reserved
-    token or are empty.
+    token or are empty; InvalidConfig unless min_frequency is an int >= 1.
     """
 
     PAD_TOKEN = "<pad>"
     UNK_TOKEN = "<unk>"
 
     def __init__(self, tokens_by_id: list[str], min_frequency: int):
+        if type(min_frequency) is not int or min_frequency < 1:
+            raise InvalidConfig(f"min_frequency must be an int >= 1, got {min_frequency!r}")
         self._id_to_token = (self.PAD_TOKEN, self.UNK_TOKEN, *tokens_by_id)
         self._token_to_id = dict(zip(tokens_by_id, count(2)))  # corpus tokens only
         reserved = any(t in self._token_to_id for t in ("", self.PAD_TOKEN, self.UNK_TOKEN))
@@ -206,15 +219,11 @@ class Vocabulary:
         tokens, min_frequency = blob["tokens"], blob["min_frequency"]
         if type(tokens) is not list or set(map(type, tokens)) - {str}:
             raise ValueError("vocabulary tokens must be a list of strings")
-        if type(min_frequency) is not int or min_frequency < 1:
-            raise ValueError(f"min_frequency must be an int >= 1, got {min_frequency!r}")
         return cls(tokens, min_frequency)
 
 
 def build_vocabulary(token_lists, min_frequency: int = 1) -> Vocabulary:
     """Index every token whose corpus frequency reaches ``min_frequency``."""
-    if min_frequency < 1:
-        raise InvalidConfig(f"min_frequency must be >= 1, got {min_frequency}")
     counts = Counter(chain.from_iterable(token_lists))
     kept = sorted(t for t, c in counts.items() if c >= min_frequency)
     kept.sort(key=counts.__getitem__, reverse=True)  # stable: ties stay in token order
@@ -279,7 +288,7 @@ def write_corpus_cache(corpus: EncodedCorpus, path) -> None:
 def read_corpus_cache(path) -> EncodedCorpus:
     """The cached corpus; CorruptFile unless every id is >= 0 and every label
     is 0, 1 or 2.  The cache does not hold the vocabulary that bounds the
-    ids from above: its caller checks that bound."""
+    ids from above: :func:`read_prepared` checks that bound."""
     header, payload = read_container(path, CACHE_MAGIC, CACHE_VERSION, "corpus cache")
     rows, n = header.get("rows"), header.get("seq_len")
     if header.keys() != {"rows", "seq_len"} or type(rows) is not int or type(n) is not int:
@@ -295,3 +304,51 @@ def read_corpus_cache(path) -> EncodedCorpus:
         if bad.any():
             raise CorruptFile(f"row {int(np.argmax(bad)) + 1}: {what}: {path}")
     return EncodedCorpus(sequences, labels)
+
+
+def encode_csv(path, pipeline: PipelineConfig, seq_len: int, vocab=None, min_freq=1,
+               text_column="text", label_column="label"):
+    """(EncodedCorpus, Vocabulary) of a labeled CSV, deduplicated if ``pipeline``
+    says so and tokenized by it; ``vocab`` is built from it when None."""
+    corpus = corpus_io.load_corpus(path, text_column, label_column)
+    if pipeline.dedupe:
+        corpus = corpus_io.deduplicate(corpus)
+    token_lists = [pipeline.tokens(ex.text) for ex in corpus.examples]
+    if vocab is None:
+        vocab = build_vocabulary(token_lists, min_freq)
+    return encode_corpus(token_lists, corpus.labels(), vocab, seq_len), vocab
+
+
+def prepare(csv_path, out_dir, pipeline, seq_len, min_freq, text_column, label_column):
+    """:func:`encode_csv`'s pair after it is written to ``out_dir`` (made only then)."""
+    encoded, vocab = encode_csv(
+        csv_path, pipeline, seq_len, None, min_freq, text_column, label_column
+    )
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_corpus_cache(encoded, out / "encoded.bin")
+    meta = {"seq_len": seq_len, **pipeline.to_json(), "text_column": text_column,
+            "label_column": label_column, "source_csv": str(csv_path)}
+    for name, blob in (("vocab.json", vocab.to_json()), ("meta.json", meta)):
+        (out / name).write_text(json.dumps(blob, sort_keys=True), encoding="utf-8")
+    histogram = corpus_io.histogram_to_csv(corpus_io.class_histogram(encoded.labels))
+    (out / "histogram.csv").write_text(histogram, encoding="utf-8")
+    return encoded, vocab
+
+
+def read_prepared(data_dir) -> tuple[EncodedCorpus, Vocabulary, PipelineConfig]:
+    """The cache, vocabulary and pipeline of a prepared corpus; CorpusError unless
+    its JSON files hold what :func:`prepare` writes and every id indexes the vocabulary."""
+    data_dir = Path(data_dir)
+    encoded = read_corpus_cache(data_dir / "encoded.bin")
+    try:
+        vocab = Vocabulary.from_json(json.loads((data_dir / "vocab.json").read_text("utf-8")))
+        pipeline = PipelineConfig.from_json(json.loads((data_dir / "meta.json").read_text("utf-8")))
+    except corpus_io.MALFORMED as exc:
+        msg = f"malformed vocab.json or meta.json in {data_dir}: {exc!r}"
+        raise corpus_io.CorpusError(msg) from None
+    top = encoded.sequences.max(initial=-1)
+    if top >= len(vocab):
+        msg = f"cache id {top} outside a vocabulary of {len(vocab)}: {data_dir}"
+        raise corpus_io.CorpusError(msg)
+    return encoded, vocab, pipeline

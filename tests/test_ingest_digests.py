@@ -6,9 +6,14 @@ vocabulary order or the cache format shows as a digest mismatch.  Two
 more cases pin the topic corpus with ``--dedupe`` and the paper corpus
 with ``--drop-hashtag-words``.  The corpus comes from the benchmark's
 generator, read without changing it.
+
+Each case holds for two library routes too: ``preprocess.prepare``, and
+the step-by-step calls the benchmark's ingest times, so pointing the
+benchmark at ``prepare`` moves no byte.
 """
 
 import hashlib
+import json
 import sys
 from pathlib import Path
 
@@ -18,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import corpus_gen  # noqa: E402
 
-from sentinet import cli  # noqa: E402
+from sentinet import cli, corpus_io, preprocess  # noqa: E402
 
 PINNED = {
     "encoded.bin": "f558bd0b6a6b830de8fe811ac7eef89c2eeade4cecedd73eae158fe01eb98ae5",
@@ -26,13 +31,40 @@ PINNED = {
 }
 
 
+def digests_of(out: Path, names) -> dict:
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names}
+
+
+def assert_library_routes_write(pinned, csv_path, tmp_path, flags=()):
+    """``prepare`` and the benchmark's timed ingest steps give the ``pinned``
+    digests for the ingest ``flags``."""
+    drop, dedupe = "--drop-hashtag-words" in flags, "--dedupe" in flags
+    pipeline = preprocess.PipelineConfig(preprocess.default_stop_words(), drop, dedupe)
+    out = tmp_path / "prepared"
+    preprocess.prepare(csv_path, out, pipeline, 40, 1, "text", "label")
+    assert digests_of(out, pinned) == pinned
+
+    corpus = corpus_io.load_corpus(csv_path)
+    if dedupe:
+        corpus = corpus_io.deduplicate(corpus)
+    token_lists = [pipeline.tokens(ex.text) for ex in corpus.examples]
+    vocab = preprocess.build_vocabulary(token_lists, 1)
+    encoded = preprocess.encode_corpus(token_lists, corpus.labels(), vocab, 40)
+    steps = tmp_path / "steps"
+    steps.mkdir()
+    preprocess.write_corpus_cache(encoded, steps / "encoded.bin")
+    # the benchmark writes no vocab.json; this is what ingest writes of a vocabulary
+    (steps / "vocab.json").write_text(json.dumps(vocab.to_json(), sort_keys=True), "utf-8")
+    assert digests_of(steps, pinned) == pinned
+
+
 def test_ingest_of_seeded_paper_corpus_writes_pinned_bytes(tmp_path, capsys):
     csv_path, out = tmp_path / "corpus.csv", tmp_path / "data"
     argv = ["--shape", "paper", "--seed", "3", "--rows", "2000", "--out", str(csv_path)]
     assert corpus_gen.main(argv) == 0
     assert cli.main(["ingest", "--csv", str(csv_path), "--out-dir", str(out)]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in PINNED}
-    assert digests == PINNED
+    assert digests_of(out, PINNED) == PINNED
+    assert_library_routes_write(PINNED, csv_path, tmp_path)
 
 
 MORE_PINNED = {
@@ -61,5 +93,5 @@ def test_ingest_with_pipeline_flags_writes_pinned_bytes(case, tmp_path, capsys):
     csv_path, out = tmp_path / "corpus.csv", tmp_path / "data"
     assert corpus_gen.main([*shape, "--seed", "3", "--rows", "2000", "--out", str(csv_path)]) == 0
     assert cli.main(["ingest", "--csv", str(csv_path), "--out-dir", str(out), *flags]) == 0
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
-    assert digests == pinned
+    assert digests_of(out, pinned) == pinned
+    assert_library_routes_write(pinned, csv_path, tmp_path, flags)

@@ -20,7 +20,8 @@ PUBLIC = {
                        "epochs", "evaluate", "load_model", "predict_text", "save_model",
                        "train"),
     "preprocess": ("PipelineConfig", "StopWordList", "Vocabulary", "build_vocabulary",
-                   "default_stop_words", "encode_and_pad", "preprocess_pipeline"),
+                   "default_stop_words", "encode_and_pad", "encode_csv", "prepare",
+                   "preprocess_pipeline", "read_prepared"),
     "stemming": ("stem",),
     "tensor_core": ("Rng",),
 }

@@ -19,6 +19,7 @@ from sentinet.preprocess import (
     PAD_ID,
     UNK_ID,
     EncodedCorpus,
+    PipelineConfig,
     StopWordList,
     build_vocabulary,
     clean_tokens,
@@ -421,3 +422,19 @@ def test_encoded_corpus_subset():
 def test_encoded_corpus_validates_lengths():
     with pytest.raises(ValueError):
         EncodedCorpus(np.zeros((2, 3), dtype=np.int64), np.zeros(3, dtype=np.int64))
+
+
+# settings that save_model would write and load_model refuse as a malformed
+# header ("no" is also truthy, so it would turn hashtag dropping on)
+UNCHECKED_AT_BUILD = {
+    "float-min-frequency": lambda: build_vocabulary([["a"]], 2.0),
+    "bool-min-frequency": lambda: build_vocabulary([["a"]], True),
+    "string-flag": lambda: PipelineConfig(StopWordList(frozenset()), "no"),
+    "int-flag": lambda: PipelineConfig(StopWordList(frozenset()), 0),
+}
+
+
+@pytest.mark.parametrize("case", UNCHECKED_AT_BUILD)
+def test_settings_are_checked_when_built(case):
+    with pytest.raises(InvalidConfig):
+        UNCHECKED_AT_BUILD[case]()
