@@ -62,11 +62,14 @@ _PUNCT_BYTES = bytes.maketrans(string.punctuation.encode(), b" " * len(string.pu
 
 @dataclass(frozen=True)
 class StopWordList:
-    """Immutable set of lowercase words to drop after tokenization."""
+    """Immutable set of lowercase words to drop after tokenization;
+    InvalidConfig unless ``words`` is a frozenset of str."""
 
     words: frozenset[str]
 
     def __post_init__(self):
+        if type(self.words) is not frozenset or set(map(type, self.words)) - {str}:
+            raise InvalidConfig(f"stop words must be a frozenset of str, got {self.words!r}")
         for w in self.words:
             if not w:
                 raise ValueError("stop-word list contains an empty string")
@@ -153,6 +156,8 @@ class PipelineConfig:
     dedupe: bool = False  # exact-duplicate texts dropped at corpus level
 
     def __post_init__(self):
+        if not isinstance(self.stop_words, StopWordList):
+            raise InvalidConfig(f"stop_words must be a StopWordList, got {self.stop_words!r}")
         if {type(self.drop_hashtag_words), type(self.dedupe)} - {bool}:
             flags = (self.drop_hashtag_words, self.dedupe)
             raise InvalidConfig(f"drop_hashtag_words and dedupe must be bools, got {flags!r}")
@@ -338,15 +343,23 @@ def prepare(csv_path, out_dir, pipeline, seq_len, min_freq, text_column, label_c
 
 def read_prepared(data_dir) -> tuple[EncodedCorpus, Vocabulary, PipelineConfig]:
     """The cache, vocabulary and pipeline of a prepared corpus; CorpusError unless
-    its JSON files hold what :func:`prepare` writes and every id indexes the vocabulary."""
+    its JSON files hold what :func:`prepare` writes, ``meta.json``'s ``seq_len`` is
+    the cache's row width and every id indexes the vocabulary."""
     data_dir = Path(data_dir)
     encoded = read_corpus_cache(data_dir / "encoded.bin")
     try:
         vocab = Vocabulary.from_json(json.loads((data_dir / "vocab.json").read_text("utf-8")))
-        pipeline = PipelineConfig.from_json(json.loads((data_dir / "meta.json").read_text("utf-8")))
+        meta = json.loads((data_dir / "meta.json").read_text("utf-8"))
+        pipeline = PipelineConfig.from_json(meta)
+        if {type(meta[k]) for k in ("text_column", "label_column", "source_csv")} != {str}:
+            raise ValueError("text_column, label_column and source_csv must be strings")
+        seq_len = meta["seq_len"]
     except corpus_io.MALFORMED as exc:
         msg = f"malformed vocab.json or meta.json in {data_dir}: {exc!r}"
         raise corpus_io.CorpusError(msg) from None
+    if seq_len != encoded.n or type(seq_len) is not int:
+        msg = f"meta.json seq_len {seq_len!r} != cache row width {encoded.n}: {data_dir}"
+        raise corpus_io.CorpusError(msg)
     top = encoded.sequences.max(initial=-1)
     if top >= len(vocab):
         msg = f"cache id {top} outside a vocabulary of {len(vocab)}: {data_dir}"

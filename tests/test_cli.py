@@ -713,6 +713,39 @@ class TestCheckedPipeline:
         assert "malformed header" in one_error_line(capsys)
 
 
+# meta.json fields ingest cannot have written beside its cache, each as the
+# change it makes to a valid meta.json, and the error it must give
+BAD_METAS = {
+    "seq-len": ({"seq_len": 999}, "meta.json seq_len 999 != cache row width 12"),
+    "string-seq-len": ({"seq_len": "12"}, "meta.json seq_len '12' != cache row width 12"),
+    "int-text-column": ({"text_column": 5}, "malformed vocab.json or meta.json"),
+    "null-label-column": ({"label_column": None}, "malformed vocab.json or meta.json"),
+    "list-source-csv": ({"source_csv": ["toy.csv"]}, "malformed vocab.json or meta.json"),
+}
+
+
+class TestCheckedMeta:
+    """A meta.json that disagrees with its cache, or whose columns are not
+    names, is refused by both commands that read a prepared corpus."""
+
+    @pytest.mark.parametrize("case", BAD_METAS)
+    def test_meta_json_exits_2(self, prepared, trained, tmp_path, capsys, case):
+        _, data_dir = prepared
+        change, message = BAD_METAS[case]
+        bad = copy_prepared(data_dir, tmp_path / "bad")
+        meta = json.loads((bad / "meta.json").read_text("utf-8"))
+        (bad / "meta.json").write_text(json.dumps({**meta, **change}), "utf-8")
+        assert cli.main(train_args(bad, tmp_path / "run")) == 2
+        assert message in one_error_line(capsys)
+        assert not (tmp_path / "run").exists()
+        code = cli.main(
+            ["evaluate", "--model", str(trained), "--data", str(bad),
+             "--out-dir", str(tmp_path / "r")]
+        )
+        assert code == 2
+        assert message in one_error_line(capsys)
+
+
 class TestPredict:
     def test_output_format(self, model_path, capsys):
         code = cli.main(["predict", "--model", str(model_path), "a splendid day"])

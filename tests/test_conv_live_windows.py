@@ -80,6 +80,18 @@ def test_zero_row_mid_sequence(activation):
     npt.assert_array_equal(dead, [[False] * 4 + [True] + [False] * 4] * 2)
 
 
+@pytest.mark.parametrize("activation", sorted(ACTIVATIONS))
+@pytest.mark.parametrize("window", [1, 3])
+def test_window_with_one_nonzero_entry_is_live(window, activation):
+    """One nonzero entry is enough to make a window live: it goes through
+    the GEMM, not the f(bias) fill."""
+    sentences = np.zeros((2, 6, K))
+    sentences[1, 2, 4] = 0.75
+    layer = make_layer(window, activation, seed=9)
+    live = ~assert_matches_dense(layer, sentences)
+    assert live.sum() == window and live[1, max(0, 3 - window) : 3].all()
+
+
 def test_token_with_zero_embedding_row_is_a_dead_window():
     table = np.random.default_rng(4).uniform(-1.0, 1.0, (6, K))
     table[PAD_ID] = 0.0

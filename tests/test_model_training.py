@@ -161,6 +161,28 @@ def test_train_config_counts_are_integers(name, value):
         TrainConfig(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("learning_rate", True), ("epsilon", True), ("learning_rate", "1"), ("beta1", "0.9")],
+)
+def test_train_config_rates_are_numbers(name, value):
+    """A bool would pass the range checks as 0 or 1, and a string would
+    reach them as a bare TypeError."""
+    with pytest.raises(InvalidConfig, match=f"^{name} must be a number, got {value!r}"):
+        TrainConfig(**{name: value})
+
+
+def test_train_config_shuffle_is_a_bool():
+    """A non-empty string is truthy, so "no" would shuffle."""
+    with pytest.raises(InvalidConfig, match="^shuffle must be a bool, got 'no'"):
+        TrainConfig(shuffle="no")
+
+
+def test_train_config_takes_int_and_numpy_rates():
+    cfg = TrainConfig(learning_rate=1, beta1=0, beta2=np.float64(0.5), epsilon=1)
+    assert (cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon) == (1, 0, 0.5, 1)
+
+
 class TestForward:
     def test_zero_parameters_give_uniform(self):
         for variant in ("cnn-lstm", "cnn", "lstm"):

@@ -431,6 +431,10 @@ UNCHECKED_AT_BUILD = {
     "bool-min-frequency": lambda: build_vocabulary([["a"]], True),
     "string-flag": lambda: PipelineConfig(StopWordList(frozenset()), "no"),
     "int-flag": lambda: PipelineConfig(StopWordList(frozenset()), 0),
+    # a bare frozenset would fail only at the first tokens() call
+    "frozenset-stop-words": lambda: PipelineConfig(frozenset({"the"})),
+    "list-stop-words": lambda: StopWordList(["a", "a"]),
+    "int-stop-word": lambda: StopWordList(frozenset({"a", 1})),
 }
 
 

@@ -175,14 +175,23 @@ def test_adam_updates_a_non_contiguous_parameter_in_place(vocab, k, seed, layout
 
 
 def test_adam_state_holds_only_the_moments():
-    """Two moments per parameter and the step count, however many blocks a
-    table spans: the update's temporaries live only inside a step."""
+    """After a step, two moments per parameter, one bool per row of the
+    row-sparse table and the step count, however many blocks a table
+    spans: the update's temporaries live only inside a step."""
     params = {
         "embedding.table": np.zeros((3 * ADAM_BLOCK // 64 + 5, 64)),
         "conv.filters": np.zeros((8, 3, 64)),
         "head.bias": np.zeros(3),
     }
+    table = params["embedding.table"]
+    rows = np.array([2, 7, len(table) - 1])
+    grads = {
+        "embedding.table": RowSparse(rows, np.ones((len(rows), 64)), table.shape),
+        "conv.filters": np.ones((8, 3, 64)),
+        "head.bias": np.ones(3),
+    }
     state = AdamState(params)
+    adam_step(params, grads, state, TrainConfig())
 
     def held(value):
         if isinstance(value, np.ndarray):
@@ -192,9 +201,115 @@ def test_adam_state_holds_only_the_moments():
                 yield from held(item)
 
     moments = 2 * sum(p.nbytes for p in params.values())
-    assert sorted(vars(state)) == ["first_moment", "second_moment", "step"]
+    assert sorted(vars(state)) == ["first_moment", "second_moment", "seen", "step"]
     assert sum(a.nbytes for a in held([state.first_moment, state.second_moment])) == moments
-    assert sum(a.nbytes for a in held(vars(state))) == moments
+    assert list(state.seen) == ["embedding.table"]
+    seen = state.seen["embedding.table"]
+    assert seen.dtype == np.bool_ and seen.shape == (len(table),)
+    npt.assert_array_equal(np.flatnonzero(seen), rows)
+    assert sum(a.nbytes for a in held(vars(state))) == moments + len(table)
+
+
+@ORACLE
+@given(
+    vocab=st.integers(40, 400),
+    touched=st.integers(2, 8),
+    seed=st.integers(0, 99),
+    layout=st.sampled_from(("contiguous", "fortran", "strided")),
+    beta2=st.sampled_from((0.0, 0.999)),
+    block=BLOCKS,
+)
+def test_adam_gathers_the_seen_rows_until_half_are_seen(
+    vocab, touched, seed, layout, beta2, block
+):
+    """A table whose steps touch a few rows each: adam_step gathers the
+    rows some gradient has held while they are fewer than half, and slices
+    every row from then on.  Both give the reference's bits, and a row no
+    gradient has held keeps moments of exactly +0.0."""
+    gen = np.random.default_rng(seed)
+    k, width = 3, touched + vocab // 40  # ids a step: under 20, however large the table
+    values = gen.uniform(-1.0, 1.0, (vocab, k))
+    values[PAD_ID] = 0.0
+    if layout == "fortran":
+        table = np.asfortranarray(values)
+    elif layout == "strided":
+        table = np.zeros((vocab, 2 * k))[:, ::2]
+        table[...] = values
+    else:
+        table = values
+    params = {"embedding.table": table, "head.weights": gen.uniform(-1.0, 1.0, (3, k))}
+    expected = {name: p.copy() for name, p in params.items()}
+    state, expected_state = AdamState(params), AdamState(expected)
+    cfg = TrainConfig(learning_rate=0.05, beta2=beta2)
+    layer = EmbeddingLayer(table)
+    reached = np.zeros(vocab, dtype=bool)
+    shares = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_training, "ADAM_BLOCK", block)
+        while len(shares) < 3 or shares[-3] < 0.5:
+            ids = gen.integers(0, vocab, (1, width))
+            ids[0, -1] = PAD_ID
+            grads = {
+                "embedding.table": layer.backward(ids, gen.normal(size=(1, width, k)))[0]["table"],
+                "head.weights": gen.normal(size=(3, k)),
+            }
+            adam_step(params, grads, state, cfg)
+            dense_adam_step(expected, {n: np.asarray(g) for n, g in grads.items()}, expected_state, cfg)
+            assert_bitwise(params, expected, "param")
+            assert_bitwise(state.first_moment, expected_state.first_moment, "m")
+            assert_bitwise(state.second_moment, expected_state.second_moment, "v")
+            reached[ids] = True
+            npt.assert_array_equal(state.seen["embedding.table"], reached)
+            for moment in (state.first_moment, state.second_moment):
+                npt.assert_array_equal(moment["embedding.table"][~reached].view(np.uint64), 0)
+            shares.append(reached.mean())
+    assert shares[0] < 0.5 <= shares[-1]
+
+
+def test_adam_mixing_dense_and_row_sparse_gradients_keeps_the_bits():
+    """A dense gradient marks every row seen, and a row-sparse one first
+    met after step 1 treats every row as seen, so no row whose moments are
+    nonzero is ever skipped."""
+    gen = np.random.default_rng(23)
+    shape = (40, 3)
+    params = {"late": gen.uniform(-1.0, 1.0, shape), "mixed": gen.uniform(-1.0, 1.0, shape)}
+    expected = {name: p.copy() for name, p in params.items()}
+    state, expected_state = AdamState(params), AdamState(expected)
+    cfg = TrainConfig(learning_rate=0.05)
+    rows = np.array([3, 17])
+    for kinds in (("dense", "sparse"), ("dense", "dense"), ("sparse", "sparse")):
+        grads = {
+            name: RowSparse(rows, gen.normal(size=(2, 3)), shape)
+            if kind == "sparse" else gen.normal(size=shape)
+            for name, kind in zip(("late", "mixed"), kinds)
+        }
+        adam_step(params, grads, state, cfg)
+        dense_adam_step(expected, {n: np.asarray(g) for n, g in grads.items()}, expected_state, cfg)
+        assert_bitwise(params, expected, "param")
+        assert_bitwise(state.first_moment, expected_state.first_moment, "m")
+    assert state.seen["late"].all() and state.seen["mixed"].all()
+
+
+def test_adam_gather_step_peak_memory_is_a_few_blocks():
+    """A step on the gather path, with nearly half of a 16-block table's
+    rows seen, so that the gathered rows fill several blocks."""
+    gen = np.random.default_rng(22)
+    shape = (16 * ADAM_BLOCK // 64, 64)
+    params = {"embedding.table": gen.uniform(-1.0, 1.0, shape)}
+    state = AdamState(params)
+    first = np.sort(gen.choice(shape[0], shape[0] // 2 - 64, replace=False))
+    grad = RowSparse(first, gen.normal(size=(len(first), 64)), shape)
+    adam_step(params, {"embedding.table": grad}, state, TrainConfig())
+    rows = np.sort(gen.choice(first, 64, replace=False))
+    grads = {"embedding.table": RowSparse(rows, gen.normal(size=(64, 64)), shape)}
+    tracemalloc.start()
+    try:
+        adam_step(params, grads, state, TrainConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2 * np.count_nonzero(state.seen["embedding.table"]) < shape[0]
+    assert peak <= 4 * ADAM_BLOCK * 8
 
 
 def test_adam_step_peak_memory_is_a_few_blocks():
